@@ -18,13 +18,14 @@ baseline in ``benchmarks/baselines/``.
 
 import time
 
-from benchmarks.conftest import BENCH_DTYPE, STRICT, emit_report, print_block
+from benchmarks.conftest import BENCH_DTYPE, STRICT, emit_suite, print_block
 from repro.core import ContraTopicConfig, npmi_kernel
 from repro.core.contratopic import ContraTopic
 from repro.experiments.context import ExperimentContext
 from repro.experiments.reporting import format_table
 from repro.metrics import compute_npmi_matrix
-from repro.telemetry import MetricsRegistry, TelemetryCallback, load_report
+from repro.experiments.suites import SuiteRun
+from repro.telemetry import MetricsRegistry, TelemetryCallback
 from repro.tensor import default_dtype
 
 #: Epochs of the dedicated op-profiling run (kept short: the per-op shims
@@ -101,8 +102,9 @@ def test_computational_analysis(benchmark, settings_nytimes, profile_into_suite)
         )
     )
 
-    report_path = emit_report(
-        "computational_analysis",
+    # A ``train``-suite report: it carries that suite's gates.
+    run = SuiteRun(
+        name="computational_analysis",
         registry=registry,
         epochs=telemetry.epochs,
         meta={
@@ -117,10 +119,10 @@ def test_computational_analysis(benchmark, settings_nytimes, profile_into_suite)
             "kernel_bytes": kernel_bytes,
         },
     )
+    report = emit_suite("train", run, "computational_analysis")
 
     # The emitted report must be a complete perf-guard input: per-op
     # timings, per-epoch throughput, and the ELBO-vs-contrastive split.
-    report = load_report(report_path)
     assert report["ops"], "op profiling produced no op table"
     op_rows = {r["op"]: r for r in report["ops"]}
     matmul = op_rows["matmul"]

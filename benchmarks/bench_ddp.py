@@ -6,36 +6,32 @@ ContraTopic training run by sharding every batch across forked ranks
 with shared-memory BOW/parameter/gradient buffers and size-weighted
 gradient averaging.
 
-Three legs train the same profile from the same seed — ``workers=1``
-(the exact serial trainer, through the identity exchange), ``workers=2``
-and ``workers=4`` — and the contract is:
+The ``ddp`` suite of :mod:`repro.experiments.suites` warms the shared
+caches, then trains the same profile from the same seed once per leg —
+``workers=1`` (the exact serial trainer, through the identity exchange),
+``workers=2`` and ``workers=4`` — and fails if a leg diverges.  This
+bench adds:
 
-* every leg converges: final epoch loss finite, and each DDP leg's final
-  loss within a small relative band of the serial leg's (the averaged
-  gradient equals the serial gradient up to the documented
-  shard-randomness caveats, so trajectories stay statistically close);
+* each DDP leg's final loss stays within a small relative band of the
+  serial leg's (the averaged gradient equals the serial gradient up to
+  the documented shard-randomness caveats, so trajectories stay
+  statistically close);
 * on an adequately-parallel machine (>= 4 cores, strict mode) the
   scaling targets hold: >= 1.6x at 2 ranks, >= 2.5x at 4 ranks.
 
-Each leg's wall-clock lands in the report as ``ddp_wall_seconds_w<N>``;
-the report roll-up derives ``ddp_docs_per_sec_w<N>`` and
-``ddp_speedup_w<N>`` totals, which ``benchmarks/check_regression.py``
-gates against ``benchmarks/baselines/BENCH_ddp.json``.
+Each leg lands in the report as ``ddp_wall_seconds_w<N>`` /
+``ddp_docs_per_sec_w<N>`` / ``ddp_speedup_w<N>`` totals, which
+``benchmarks/check_regression.py`` gates against
+``benchmarks/baselines/BENCH_ddp.json``.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
-import numpy as np
-
-from benchmarks.conftest import BENCH_DTYPE, STRICT, emit_report, print_block
-from repro.experiments.context import ExperimentContext
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.report import DDP_DOCS_KEY, DDP_WALL_KEY_PREFIX
+from benchmarks.conftest import BENCH_DTYPE, STRICT, emit_suite, print_block
+from repro.experiments.suites import SUITES
 from repro.tensor import default_dtype
-from repro.training.trainer import RunSpec, Trainer
 
 LEGS = (1, 2, 4)
 
@@ -51,80 +47,28 @@ SPEEDUP_TARGETS = {2: 1.6, 4: 2.5}
 LOSS_REL_TOL = 0.15
 
 
-def test_ddp_scaling_curve(settings_20ng, bench_registry):
-    context = ExperimentContext(settings_20ng)
-    train = context.dataset.train
-    registry = MetricsRegistry()
-
-    # Warm the shared caches (corpus load, NPMI, embeddings, BOW cast)
-    # outside the timed region so the serial leg doesn't pay one-time
-    # costs the DDP legs then inherit for free.
-    context.build("contratopic", seed=0)
+def test_ddp_scaling_curve(settings_20ng):
     with default_dtype(BENCH_DTYPE):
-        train.bow_matrix(np.dtype(BENCH_DTYPE))
-
-    walls: dict[int, float] = {}
-    final_losses: dict[int, float] = {}
-    for workers in LEGS:
-        with default_dtype(BENCH_DTYPE):
-            model = context.build("contratopic", seed=0)
-            spec = RunSpec(model=model.config, ddp_workers=workers)
-            start = time.perf_counter()
-            with registry.timer(f"{DDP_WALL_KEY_PREFIX}{workers}"):
-                Trainer(spec).fit(model, train)
-            walls[workers] = time.perf_counter() - start
-        exchange = model._trainer.exchange
-        if getattr(exchange, "metrics", None) is not None:
-            registry.merge(exchange.metrics)
-        final_losses[workers] = float(model.history[-1]["total"])
-        assert np.isfinite(final_losses[workers]), (
-            f"workers={workers} leg diverged: {final_losses[workers]}"
-        )
-
-    # Every leg trains the same document count; docs/sec per leg derives
-    # from one leg's worth of work.
-    registry.counter(DDP_DOCS_KEY, absolute=True).value = float(
-        len(train) * settings_20ng.epochs
-    )
-    train.record_cast_stats(registry)
-
-    serial_loss = final_losses[1]
+        run = SUITES["ddp"].run(settings_20ng, ddp_legs=",".join(map(str, LEGS)))
+    report = emit_suite("ddp", run, "ddp")
+    totals, losses = report["totals"], report["meta"]["final_losses"]
+    serial_loss = losses["1"]
     for workers in LEGS[1:]:
-        drift = abs(final_losses[workers] - serial_loss) / abs(serial_loss)
+        drift = abs(losses[str(workers)] - serial_loss) / abs(serial_loss)
         assert drift <= LOSS_REL_TOL, (
-            f"workers={workers} final loss {final_losses[workers]:.4f} "
+            f"workers={workers} final loss {losses[str(workers)]:.4f} "
             f"drifted {drift:.1%} from serial {serial_loss:.4f}"
         )
-
-    speedups = {w: walls[1] / walls[w] for w in LEGS[1:]}
+    speedups = {w: totals[f"ddp_speedup_w{w}"] for w in LEGS[1:]}
     print_block(
-        f"ddp scaling ({len(train)} docs, {os.cpu_count()} cores, "
-        f"{BENCH_DTYPE})\n"
+        f"ddp scaling ({os.cpu_count()} cores, {BENCH_DTYPE})\n"
         + "\n".join(
-            f"  workers={w}: {walls[w]:8.2f}s"
-            f"  loss {final_losses[w]:10.4f}"
+            f"  workers={w}: {totals[f'ddp_wall_seconds_w{w}']:8.2f}s"
+            f"  loss {losses[str(w)]:10.4f}"
             + (f"  speedup {speedups[w]:5.2f}x" if w in speedups else "")
             for w in LEGS
         )
     )
-
-    bench_registry.merge(registry)
-    emit_report(
-        "ddp",
-        registry=registry,
-        meta={
-            "suite": "ddp",
-            "dataset": settings_20ng.dataset,
-            "model": "contratopic",
-            "epochs": settings_20ng.epochs,
-            "legs": list(LEGS),
-            "cpu_count": os.cpu_count(),
-            "dtype": BENCH_DTYPE,
-            "speedups": {str(w): speedups[w] for w in speedups},
-            "final_losses": {str(w): final_losses[w] for w in LEGS},
-        },
-    )
-
     if STRICT and (os.cpu_count() or 1) >= 4:
         for workers, target in SPEEDUP_TARGETS.items():
             assert speedups[workers] >= target, (

@@ -1,6 +1,6 @@
 """Fused-kernel microbenchmark: the per-op half of the CI perf guard.
 
-Runs :func:`repro.telemetry.microbench.run_ops_microbench` — forward and
+Runs the ``ops`` suite of :mod:`repro.experiments.suites` — forward and
 backward of every kernel in ``PROFILED_FUSED_OPS`` on fixed seeded
 shapes — and emits ``BENCH_ops.json``, which
 ``benchmarks/check_regression.py`` compares against the checked-in
@@ -8,31 +8,24 @@ baseline.  Unlike the end-to-end training benchmarks, this isolates each
 kernel, so a regression points at the offending op directly.
 """
 
-from benchmarks.conftest import BENCH_DTYPE, FAST, emit_report, print_block
+from benchmarks.conftest import BENCH_DTYPE, FAST, emit_suite, print_block
 from repro.experiments.reporting import format_table
-from repro.telemetry import MetricsRegistry, load_report
-from repro.telemetry.microbench import DEFAULT_REPEATS, run_ops_microbench
+from repro.experiments.suites import SUITES
+from repro.telemetry import profile_ops
+from repro.telemetry.microbench import DEFAULT_REPEATS
 from repro.tensor import PROFILED_FUSED_OPS
 
 
-def test_fused_ops_microbench(benchmark, profile_into_suite):
-    registry = MetricsRegistry()
+def test_fused_ops_microbench(benchmark, bench_registry):
     repeats = 5 if FAST else DEFAULT_REPEATS
 
     def run():
-        # profile_into_suite nests around the microbench's own
-        # profile_ops block, fanning the rows into BENCH_suite.json too.
-        with profile_into_suite(registry):
-            run_ops_microbench(registry=None, repeats=repeats, dtype=BENCH_DTYPE)
+        # The suite's own profile_ops block nests inside this one, which
+        # fans the rows into BENCH_suite.json too.
+        with profile_ops(bench_registry):
+            return SUITES["ops"].run(repeats=repeats, dtype=BENCH_DTYPE)
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    report_path = emit_report(
-        "ops",
-        registry=registry,
-        meta={"suite": "ops", "dtype": BENCH_DTYPE, "repeats": repeats, "seed": 0},
-    )
-    report = load_report(report_path)
+    report = emit_suite("ops", benchmark.pedantic(run, rounds=1, iterations=1), "ops")
     rows = {r["op"]: r for r in report["ops"]}
     table = []
     for op in PROFILED_FUSED_OPS:

@@ -4,17 +4,18 @@ The composable objective pipeline (:mod:`repro.objectives`) makes the
 paper's topic-wise contrastive term one entry in a registry of rival
 regularizers — the CLNTM document-wise InfoNCE (Nguyen & Luu 2021), the
 diversity-aware coherence regularizer (Li et al. 2023) and a VICReg-style
-latent regularizer (Xu et al. 2025).  This benchmark runs the sweep the
-refactor exists for: the *same* ETM backbone trains once per objective
-(plus the pure-ELBO control) under identical ``RunSpec`` settings, each
-row averaged over several seeds fanned out in parallel, and the §V.B
-coherence / diversity / km-Purity protocol ranks the results.
+latent regularizer (Xu et al. 2025).  The ``regularizers`` suite of
+:mod:`repro.experiments.suites` runs the sweep the refactor exists for:
+the *same* ETM backbone trains once per objective (plus the pure-ELBO
+control) under identical ``RunSpec`` settings, each row averaged over
+several seeds fanned out in parallel, and the §V.B coherence / diversity
+/ km-Purity protocol ranks the results.
 
-The report roll-up carries ``regularizers_wall_seconds`` (the whole
-sweep's wall-clock), which ``benchmarks/check_regression.py`` gates
-against ``benchmarks/baselines/BENCH_regularizers.json``; the leaderboard
-rows themselves land in the report's ``meta`` so the checked-in baseline
-doubles as the reproduction record.
+The report carries ``regularizers_wall_seconds`` (the whole sweep's
+wall-clock), which ``benchmarks/check_regression.py`` gates against
+``benchmarks/baselines/BENCH_regularizers.json``; the leaderboard rows
+land in the report's ``meta`` so the checked-in baseline doubles as the
+reproduction record.
 
 Contracts asserted here (and in ``tests/experiments/test_regularizers.py``):
 
@@ -28,65 +29,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import STRICT, emit_report, print_block
-from repro.experiments import ExperimentContext, ExperimentSettings
-from repro.experiments.regularizers import (
-    format_leaderboard,
-    regularizer_leaderboard,
-)
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.report import REGULARIZERS_WALL_KEY
+from benchmarks.conftest import STRICT, emit_suite, print_block
+from repro.experiments import ExperimentSettings
+from repro.experiments.suites import SUITES
 
 #: §V.F protocol: three seeds per row at strict scale (the checked-in
 #: baseline); two keep the smoke run honest about the multi-seed path.
-SEEDS = (0, 1, 2) if STRICT else (0, 1)
+NUM_SEEDS = 3 if STRICT else 2
 
 #: Per-row parallel seed fan-out (ParallelMap workers).  Rows are
 #: bitwise-identical for every worker count — asserted in the test suite.
-WORKERS = min(len(SEEDS), 3)
+WORKERS = min(NUM_SEEDS, 3)
 
 EXPECTED_ROWS = frozenset(
     {"elbo", "contrastive", "clntm", "coherence", "vicreg"}
 )
 
 
-def test_regularizer_leaderboard(bench_registry):
+def test_regularizer_leaderboard():
     # The reduced experiment scale: the leaderboard's point is relative
     # ranking under identical settings, which survives scale-down.
-    context = ExperimentContext(ExperimentSettings(dataset="20ng").fast())
-    registry = MetricsRegistry()
-    with registry.timer(REGULARIZERS_WALL_KEY):
-        result = regularizer_leaderboard(
-            context, seeds=SEEDS, workers=WORKERS, registry=registry
-        )
-
-    print_block(format_leaderboard(result, "20ng"))
-
+    run = SUITES["regularizers"].run(
+        ExperimentSettings(dataset="20ng").fast(),
+        num_seeds=NUM_SEEDS,
+        workers=WORKERS,
+    )
+    print_block(run.text)
+    result = run.result
     assert {row.name for row in result.rows} == set(EXPECTED_ROWS)
     assert not result.failures, f"failed/diverged seeds: {result.failures}"
     for row in result.rows:
         assert np.isfinite(row.coherence_at_10), row.name
         assert np.isfinite(row.diversity_at_10), row.name
         assert np.isfinite(row.purity), row.name
-        assert row.summary()["seeds_ok"] == len(SEEDS), row.name
-
-    bench_registry.merge(registry)
-    emit_report(
-        "regularizers",
-        registry=registry,
-        meta={
-            "suite": "regularizers",
-            "dataset": "20ng",
-            "backbone": "etm",
-            "seeds": list(SEEDS),
-            "workers": WORKERS,
-            "leaderboard": [
-                {"objective": row.name, "weight": row.weight, **row.summary()}
-                for row in result.rows
-            ],
-            "best": result.best().name,
-        },
-    )
+        assert row.summary()["seeds_ok"] == NUM_SEEDS, row.name
+    emit_suite("regularizers", run, "regularizers")
 
     if STRICT:
         by_name = {row.name: row for row in result.rows}

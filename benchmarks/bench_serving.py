@@ -2,10 +2,12 @@
 
 Drives the resilient inference service (:mod:`repro.serving`) with the
 deterministic load generator on a bundled-corpus model and emits
-``BENCH_serving.json``, which ``benchmarks/check_regression.py`` compares
-against the checked-in baseline.  The gated totals are the end-to-end
-wall-clock, the p50/p95/p99 request latencies, and the
-``serving_requests_per_sec`` throughput.
+``BENCH_serving.json`` through :func:`repro.serving.loadgen.serving_report`
+(the same function ``repro serve`` uses), which
+``benchmarks/check_regression.py`` compares against the checked-in
+baseline.  The gated totals are the end-to-end wall-clock, the
+p50/p95/p99 request latencies, and the ``serving_requests_per_sec``
+throughput.
 
 A second (ungated) chaos test replays the same request stream under
 injected NaN outputs, worker death, latency spikes and corrupt
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from benchmarks.conftest import FAST, emit_report, print_block
+from benchmarks.conftest import FAST, print_block, write_bench
 from repro.data import load_20ng
 from repro.experiments.reporting import format_table
 from repro.io import save_checkpoint
@@ -37,8 +39,9 @@ from repro.serving import (
     ServingConfig,
     build_requests,
     run_load,
+    serving_report,
 )
-from repro.telemetry import MetricsRegistry, load_report
+from repro.telemetry import MetricsRegistry
 from repro.training.faults import FaultInjector, FaultPlan
 
 #: Load volume: enough traffic for stable percentiles in STRICT mode,
@@ -103,19 +106,17 @@ def test_serving_front_door_bench(benchmark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     report = results["report"]
-    report.record_into(metrics)
-
-    report_path = emit_report(
-        "serving",
+    bench = serving_report(
+        report,
         registry=metrics,
         meta={
-            "suite": "serving",
             "requests": NUM_REQUESTS,
             "concurrency": CONCURRENCY,
             "status_counts": report.status_counts,
         },
     )
-    totals = load_report(report_path)["totals"]
+    write_bench(bench)
+    totals = bench["totals"]
 
     print_block(
         format_table(

@@ -6,43 +6,37 @@ Usage (from the repository root, after a smoke benchmark run emitted
     REPRO_BENCH_FAST=1 python -m pytest benchmarks/bench_computational_analysis.py -q
     python benchmarks/check_regression.py
 
-Exits 0 when every compared total is within ``--threshold`` (default 2x —
+Exits 0 when every gated total is within ``--threshold`` (default 2x —
 deliberately tolerant, shared CI runners are noisy) of the checked-in
-baseline, 1 when any total regressed, 2 on bad inputs.  The diff table is
-printed either way.  Per-op rows are informational only; the gate runs on
-the scalar totals (op/epoch second sums, mean epoch time, docs/sec
-throughput).
+baseline, 1 when a gated total regressed or is missing from the current
+report, 2 on bad inputs.  The diff table is printed either way.
 
-The guard works on any pair of ``BENCH_*.json`` reports.  CI runs it
-four times: on the end-to-end training report (defaults below), on the
-fused-kernel microbenchmark, on the sparse fast-path comparison
-(``benchmarks/bench_sparse_ops.py``, gating ``sparse_speedup`` /
-``sparse_docs_per_sec`` / the leg wall-clocks), and on the multi-seed
-parallel-vs-serial wall-clock (``benchmarks/bench_parallel_multiseed.py``),
-whose ``multiseed_serial_seconds`` / ``multiseed_parallel_seconds`` /
-``multiseed_speedup`` totals this guard gates automatically because they
-are listed in :data:`repro.telemetry.report.TIME_TOTALS` /
-``RATE_TOTALS``::
+Which totals are gated, and in which direction each is better, is not
+known here: every report carries a ``gates`` field declared by its
+producer — a bench suite of :data:`repro.experiments.suites.SUITES`, or
+:func:`repro.serving.loadgen.serving_report` — and
+:func:`repro.telemetry.report.compare_reports` gates the union of the
+baseline's and the current report's gates.  Per-op rows are
+informational only.
+
+The guard works on any pair of ``BENCH_*.json`` reports.  CI runs it once
+per row of its ``bench`` matrix (one row per suite, plus serving), e.g.::
 
     REPRO_BENCH_FAST=1 python -m pytest benchmarks/bench_fused_ops.py -q
-    python benchmarks/check_regression.py \
+    python benchmarks/check_regression.py --threshold 2.5 \
         --baseline benchmarks/baselines/BENCH_ops.json \
         --current BENCH_ops.json
 
-    REPRO_BENCH_FAST=1 REPRO_WORKERS=2 \
-        python -m pytest benchmarks/bench_parallel_multiseed.py -q
-    python benchmarks/check_regression.py \
-        --baseline benchmarks/baselines/BENCH_suite.json \
-        --current BENCH_suite.json
-
-Refreshing a baseline after an intentional perf change::
+Refreshing a baseline after an intentional perf change (the fresh report
+carries its gates along)::
 
     python benchmarks/check_regression.py --update-baseline
     python benchmarks/check_regression.py --update-baseline \
         --baseline benchmarks/baselines/BENCH_ops.json --current BENCH_ops.json
 
 Diffing two arbitrary reports (no gate, exit 0 unless inputs are bad) —
-used by the ddp scaling report and handy for local before/after runs::
+handy for local before/after runs and for scaling curves across
+machines::
 
     python benchmarks/check_regression.py --compare BENCH_before.json BENCH_after.json
 """
@@ -165,11 +159,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         baseline = load_report(args.baseline)
         current = load_report(args.current)
+        failures, table = compare_reports(baseline, current, threshold=args.threshold)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    failures, table = compare_reports(baseline, current, threshold=args.threshold)
     print(table)
     if failures:
         print()
@@ -183,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     print()
     print(summarize_report(current))
     print()
-    print("perf-guard OK: no compared total regressed past the threshold")
+    print("perf-guard OK: no gated total regressed past the threshold")
     return 0
 
 

@@ -27,9 +27,12 @@ Telemetry
 Every benchmark test is timed into a session-wide
 :class:`repro.telemetry.MetricsRegistry` under ``bench/<test name>``
 (autouse fixture); individual benchmarks add finer-grained stage timers
-via the ``bench_registry`` fixture.  At session end the aggregate is
-written to ``BENCH_suite.json``; benchmarks with richer telemetry (op
-tables, epoch tables) emit their own report through :func:`emit_report`.
+via the ``bench_registry`` fixture.  Benchmarks with richer telemetry
+emit their own report: the perf-guarded ones run a suite of
+:data:`repro.experiments.suites.SUITES` and write it with
+:func:`emit_suite`, the others use :func:`emit_report`.  At session end
+the aggregate is written to ``BENCH_suite.json``, which also carries
+every gated total (and its gate) of the reports emitted in the session.
 
 Because :func:`repro.telemetry.profile_ops` blocks nest, op-profiled
 benchmark sections also fan their per-op rows into the session registry
@@ -47,6 +50,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentSettings
+from repro.experiments.suites import SUITES
 from repro.telemetry import MetricsRegistry, build_report, profile_ops, write_report
 from repro.tensor import resolve_dtype
 
@@ -93,11 +97,32 @@ def telemetry_dir() -> Path:
     return Path(os.environ.get("REPRO_BENCH_TELEMETRY_DIR", "."))
 
 
-def emit_report(name: str, registry=None, epochs=None, meta=None) -> Path:
+#: Gated totals (and their gates) of every report emitted this session;
+#: ``BENCH_suite.json`` carries them.
+_SESSION_TOTALS: dict = {}
+_SESSION_GATES: dict = {}
+
+
+def write_bench(report: dict) -> Path:
     """Write ``BENCH_<name>.json`` into :func:`telemetry_dir`."""
-    merged_meta = {"fast": FAST, **(meta or {})}
-    report = build_report(name, registry=registry, epochs=epochs, meta=merged_meta)
-    return write_report(report, telemetry_dir() / f"BENCH_{name}.json")
+    report["meta"].setdefault("fast", FAST)
+    _SESSION_GATES.update(report["gates"])
+    _SESSION_TOTALS.update(
+        {k: report["totals"][k] for k in report["gates"] if k in report["totals"]}
+    )
+    return write_report(report, telemetry_dir() / f"BENCH_{report['name']}.json")
+
+
+def emit_report(name: str, registry=None, epochs=None, meta=None) -> Path:
+    """Build and write an ungated ``BENCH_<name>.json``."""
+    return write_bench(build_report(name, registry=registry, epochs=epochs, meta=meta))
+
+
+def emit_suite(suite: str, run, name: str) -> dict:
+    """Write a registry suite's run as ``BENCH_<name>.json``; returns it."""
+    report = SUITES[suite].report(run, name)
+    write_bench(report)
+    return report
 
 
 @pytest.fixture(scope="session")
@@ -105,7 +130,11 @@ def bench_registry():
     """Session-wide telemetry sink; dumped to BENCH_suite.json at exit."""
     registry = MetricsRegistry()
     yield registry
-    emit_report("suite", registry=registry)
+    write_bench(
+        build_report(
+            "suite", registry=registry, totals=_SESSION_TOTALS, gates=_SESSION_GATES
+        )
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -25,31 +25,21 @@ Commands
               request received a well-formed response.  Writes a
               ``BENCH_serving``-style report (p50/p95/p99 latency,
               throughput) for the CI perf-guard.
-``bench``     Train with telemetry enabled and write a ``BENCH_*.json``
-              report (per-op timings — on by default, disable with
-              ``--no-profile-ops`` — per-epoch throughput,
-              ELBO-vs-contrastive loss split).  ``--suite ops`` skips
-              training and instead microbenchmarks every fused autodiff
-              kernel on fixed seeded shapes.  ``--suite sparse`` times
-              the training hot path dense vs CSR on the same synthetic
-              ≥99%-sparse bow and records the speedup for the CI
-              perf-guard.  ``--suite multiseed`` runs
-              the §V.F multi-seed evaluation twice — serial and across
-              ``--workers`` processes — asserts the metrics are
-              identical, and records both wall-clocks (and the speedup)
-              for the CI perf-guard.  ``--suite ddp`` trains the same
-              profile once per ``--ddp-legs`` worker count (default
-              1,2,4) and records the scaling curve
-              (``ddp_wall_seconds_w<N>`` / ``ddp_docs_per_sec_w<N>`` /
-              ``ddp_speedup_w<N>``) for the CI perf-guard.
-              ``--suite streaming`` replays a synthetic drifting stream
-              through the incremental co-occurrence/NPMI engine and
-              through a per-slice full recount, checks the exactness
-              contract, and records ``streaming_update_seconds`` /
-              ``streaming_speedup`` / ``streaming_docs_per_sec`` for the
-              CI perf-guard.  The ``--inject-*`` flags drive the
-              deterministic fault harness so recovery paths can be
-              smoke-tested in CI.
+``bench``     Run one bench suite and write its ``BENCH_*.json`` report.
+              ``--suite`` picks an entry of the registry in
+              :mod:`repro.experiments.suites` (train, ops, sparse,
+              multiseed, ddp, streaming, regularizers); one generic
+              handler passes each suite's ``run`` the flags it names.
+              The default ``train`` suite trains with telemetry on
+              (per-op timings — disable with ``--no-profile-ops`` —
+              per-epoch throughput, ELBO-vs-contrastive loss split);
+              the ``--inject-*`` flags drive the deterministic fault
+              harness so recovery paths can be smoke-tested in CI.
+              Every report carries its suite's ``gates``: the totals
+              the CI perf-guard compares and the direction in which
+              each is better.  A suite's checks (streaming exactness,
+              multi-seed serial == parallel, the sparse loss gap) exit
+              non-zero when they fail.
 
 Every command accepts ``--dtype {float32,float64}`` to pick the training
 precision (equivalent to the ``REPRO_DTYPE`` environment variable).
@@ -97,6 +87,7 @@ import numpy as np
 
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.experiments.reporting import format_table
+from repro.experiments.suites import SUITES
 from repro.experiments.table1_stats import format_table1, run_table1
 from repro.io import load_checkpoint, save_checkpoint
 from repro.metrics.coherence import topic_npmi_scores
@@ -297,423 +288,6 @@ def _cmd_datasets(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_bench_ops(args: argparse.Namespace, out) -> int:
-    """``bench --suite ops``: microbenchmark the fused kernels directly."""
-    from repro.telemetry import build_report, format_report, write_report
-    from repro.telemetry.microbench import run_ops_microbench
-    from repro.tensor import get_default_dtype
-
-    print("microbenchmarking fused autodiff kernels...", file=out)
-    registry = run_ops_microbench(
-        repeats=args.repeats, dtype=args.dtype, seed=args.seed
-    )
-    report = build_report(
-        args.name or "ops_microbench",
-        registry=registry,
-        meta={
-            "suite": "ops",
-            "dtype": args.dtype or str(get_default_dtype()),
-            "repeats": args.repeats,
-            "seed": args.seed,
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _cmd_bench_sparse(args: argparse.Namespace, out) -> int:
-    """``bench --suite sparse``: dense-vs-CSR fast-path comparison.
-
-    Runs the training hot path twice on the same synthetic ≥99%-sparse
-    bow — once dense (the reference oracle), once through the CSR fused
-    kernels — and writes a report whose totals carry both wall-clocks,
-    the ``sparse_speedup`` ratio, and docs/sec for the CI perf-guard.
-    """
-    from repro.telemetry import build_report, format_report, write_report
-    from repro.telemetry.microbench import (
-        SPARSE_BATCH,
-        SPARSE_PROFILE_DENSITY,
-        SPARSE_VOCAB,
-        run_sparse_microbench,
-    )
-    from repro.tensor import get_default_dtype
-
-    print("benchmarking sparse fast path vs dense reference...", file=out)
-    registry = run_sparse_microbench(
-        repeats=args.repeats, dtype=args.dtype, seed=args.seed
-    )
-    report = build_report(
-        args.name or "sparse_fast_path",
-        registry=registry,
-        meta={
-            "suite": "sparse",
-            "dtype": args.dtype or str(get_default_dtype()),
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "batch": SPARSE_BATCH,
-            "vocab": SPARSE_VOCAB,
-            "density": SPARSE_PROFILE_DENSITY,
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _results_equal(a, b) -> bool:
-    """Exact equality of two :class:`EvaluationResult`\\ s (NaN-tolerant).
-
-    NaN compares equal to NaN here: a seed that diverged identically in
-    both runs must not make the serial-vs-parallel equality check fail.
-    """
-
-    def scalar_equal(x, y) -> bool:
-        fx, fy = float(x), float(y)
-        return fx == fy or (fx != fx and fy != fy)
-
-    def dicts_equal(da, db) -> bool:
-        return da.keys() == db.keys() and all(
-            scalar_equal(da[k], db[k]) for k in da
-        )
-
-    return (
-        a.seed_status == b.seed_status
-        and a.diverged == b.diverged
-        and all(
-            dicts_equal(getattr(a, f), getattr(b, f))
-            for f in (
-                "coherence",
-                "diversity",
-                "km_purity",
-                "km_nmi",
-                "coherence_std",
-                "diversity_std",
-                "km_purity_std",
-            )
-        )
-    )
-
-
-def _cmd_bench_multiseed(args: argparse.Namespace, out) -> int:
-    """``bench --suite multiseed``: serial-vs-parallel §V.F evaluation.
-
-    Runs the same multi-seed evaluation twice — ``workers=1`` (the exact
-    serial path) and ``workers=N`` — asserts the merged metrics and
-    per-seed statuses are identical, and writes a report whose totals
-    carry both wall-clocks plus the speedup for the CI perf-guard.
-    """
-    import os
-
-    from repro.parallel import resolve_workers
-    from repro.telemetry import (
-        MetricsRegistry,
-        build_report,
-        format_report,
-        write_report,
-    )
-    from repro.telemetry.report import MULTISEED_PARALLEL_KEY, MULTISEED_SERIAL_KEY
-    from repro.training.protocol import multi_seed_evaluation
-
-    workers = resolve_workers(args.workers)
-    seeds = tuple(range(args.num_seeds))
-    context = ExperimentContext(_settings_from_args(args))
-    factory = context.factory(args.model)
-    registry = MetricsRegistry()
-
-    print(
-        f"multi-seed benchmark: {args.model} on {args.dataset}, "
-        f"{len(seeds)} seeds, serial vs {workers} workers...",
-        file=out,
-    )
-    runs = {}
-    for key, n in ((MULTISEED_SERIAL_KEY, 1), (MULTISEED_PARALLEL_KEY, workers)):
-        with registry.timer(key):
-            runs[key] = multi_seed_evaluation(
-                factory,
-                context.dataset.train,
-                context.dataset.test,
-                context.npmi_test,
-                seeds=seeds,
-                model_name=args.model,
-                workers=n,
-                registry=registry,
-                profile=args.profile_ops,
-            )
-    if not _results_equal(runs[MULTISEED_SERIAL_KEY], runs[MULTISEED_PARALLEL_KEY]):
-        raise SystemExit(
-            "multi-seed metrics differ between workers=1 and "
-            f"workers={workers}: {runs[MULTISEED_SERIAL_KEY].summary()} vs "
-            f"{runs[MULTISEED_PARALLEL_KEY].summary()}"
-        )
-    print("serial and parallel metrics are identical", file=out)
-    report = build_report(
-        args.name or f"multiseed_{args.model}_{args.dataset}",
-        registry=registry,
-        meta={
-            "suite": "multiseed",
-            "dataset": args.dataset,
-            "model": args.model,
-            "scale": args.scale,
-            "num_topics": args.num_topics,
-            "epochs": args.epochs,
-            "num_seeds": args.num_seeds,
-            "workers": workers,
-            "cpu_count": os.cpu_count(),
-            "dtype": args.dtype or _current_dtype_name(),
-            "profile_ops": bool(args.profile_ops),
-            "metrics": runs[MULTISEED_PARALLEL_KEY].summary(),
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _cmd_bench_ddp(args: argparse.Namespace, out) -> int:
-    """``bench --suite ddp``: data-parallel scaling curve over worker counts.
-
-    Trains the same profile once per ``--ddp-legs`` worker count (a
-    fresh, identically-seeded model each leg), recording each leg's
-    wall-clock under ``ddp/wall_w<N>``; the report roll-up derives the
-    per-leg ``ddp_wall_seconds_w<N>`` / ``ddp_docs_per_sec_w<N>`` /
-    ``ddp_speedup_w<N>`` totals (speedup vs the ``workers=1`` leg, which
-    is the exact serial trainer) the CI perf-guard gates on.
-    """
-    import os
-
-    from repro.models.base import NeuralTopicModel
-    from repro.telemetry import (
-        MetricsRegistry,
-        build_report,
-        format_report,
-        write_report,
-    )
-    from repro.telemetry.report import DDP_DOCS_KEY, DDP_WALL_KEY_PREFIX
-    from repro.training.trainer import RunSpec, Trainer
-
-    try:
-        legs = tuple(int(part) for part in str(args.ddp_legs).split(","))
-    except ValueError:
-        raise SystemExit(
-            f"--ddp-legs must be comma-separated worker counts, got {args.ddp_legs!r}"
-        ) from None
-    context = ExperimentContext(_settings_from_args(args))
-    train = context.dataset.train
-    registry = MetricsRegistry()
-    print(
-        f"ddp scaling benchmark: {args.model} on {args.dataset}, "
-        f"worker legs {list(legs)}...",
-        file=out,
-    )
-    for workers in legs:
-        model = context.build(args.model, seed=args.seed)
-        if not isinstance(model, NeuralTopicModel):
-            raise SystemExit("bench --suite ddp requires a neural model")
-        spec = RunSpec(model=model.config, ddp_workers=workers)
-        with registry.timer(f"{DDP_WALL_KEY_PREFIX}{workers}"):
-            Trainer(spec).fit(model, train)
-        exchange = model._trainer.exchange
-        if getattr(exchange, "metrics", None) is not None:
-            registry.merge(exchange.metrics)
-        print(f"  workers={workers}: trained {args.epochs} epochs", file=out)
-    # One leg's worth of work (every leg trains the same profile).
-    registry.counter(DDP_DOCS_KEY, absolute=True).value = float(
-        len(train) * args.epochs
-    )
-    train.record_cast_stats(registry)
-    report = build_report(
-        args.name or f"ddp_{args.model}_{args.dataset}",
-        registry=registry,
-        meta={
-            "suite": "ddp",
-            "dataset": args.dataset,
-            "model": args.model,
-            "scale": args.scale,
-            "num_topics": args.num_topics,
-            "epochs": args.epochs,
-            "seed": args.seed,
-            "legs": list(legs),
-            "cpu_count": os.cpu_count(),
-            "dtype": args.dtype or _current_dtype_name(),
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _cmd_bench_streaming(args: argparse.Namespace, out) -> int:
-    """``bench --suite streaming``: incremental engine vs full recount.
-
-    Replays a synthetic drifting stream (``--stream-slices`` slices of
-    ``--stream-docs`` documents) twice — once through the incremental
-    :class:`repro.metrics.streaming.StreamingNpmiEngine`, once through a
-    per-slice from-scratch recount + cold NPMI build — verifies the
-    exactness contract (bitwise counts, NPMI within 1e-12), and writes a
-    report whose totals carry ``streaming_update_seconds``,
-    ``streaming_speedup``, ``streaming_docs_per_sec`` and the engine's
-    counters for the CI perf-guard.
-    """
-    import numpy as np
-
-    from repro.extensions.online import (
-        DriftingStreamConfig,
-        generate_drifting_stream,
-    )
-    from repro.metrics.cooccurrence import DocumentCooccurrence
-    from repro.metrics.npmi import compute_npmi_matrix
-    from repro.metrics.streaming import (
-        StreamingNpmiEngine,
-        record_streaming_stats,
-    )
-    from repro.telemetry import (
-        MetricsRegistry,
-        build_report,
-        format_report,
-        write_report,
-    )
-    from repro.telemetry.report import (
-        STREAMING_DOCS_KEY,
-        STREAMING_RECOUNT_KEY,
-        STREAMING_UPDATE_KEY,
-    )
-
-    print(
-        f"streaming benchmark: {args.stream_slices} slices x "
-        f"{args.stream_docs} docs...",
-        file=out,
-    )
-    slices, _, _ = generate_drifting_stream(
-        DriftingStreamConfig(
-            emerge_at=max(1, args.stream_slices // 2),
-            num_slices=args.stream_slices,
-            docs_per_slice=args.stream_docs,
-            average_length=40.0,
-            seed=args.seed,
-        )
-    )
-    vocab_size = slices[0].vocab_size
-    registry = MetricsRegistry()
-    for slice_corpus in slices:  # warm incidence caches outside timers
-        slice_corpus.binary_doc_word()
-
-    engine = StreamingNpmiEngine(vocab_size)
-    for slice_corpus in slices:
-        with registry.timer(STREAMING_UPDATE_KEY):
-            engine.update(slice_corpus)
-
-    recount = None
-    for upto in range(1, len(slices) + 1):
-        with registry.timer(STREAMING_RECOUNT_KEY):
-            recount = DocumentCooccurrence.empty(vocab_size)
-            for past in slices[:upto]:
-                recount.update(past)
-            cold = compute_npmi_matrix(recount)
-
-    engine.check_against(recount)
-    npmi_gap = float(np.max(np.abs(engine.npmi.matrix - cold.matrix)))
-    if npmi_gap > 1e-12:
-        raise SystemExit(
-            f"incremental NPMI diverged from cold build by {npmi_gap:.3e}"
-        )
-    total_docs = sum(len(s) for s in slices)
-    registry.counter(STREAMING_DOCS_KEY, absolute=True).value = float(total_docs)
-    record_streaming_stats(registry)
-    report = build_report(
-        args.name or "streaming_engine",
-        registry=registry,
-        meta={
-            "suite": "streaming",
-            "num_slices": args.stream_slices,
-            "docs_per_slice": args.stream_docs,
-            "vocab_size": vocab_size,
-            "total_docs": total_docs,
-            "seed": args.seed,
-            "npmi_gap": npmi_gap,
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
-def _cmd_bench_regularizers(args: argparse.Namespace, out) -> int:
-    """``bench --suite regularizers``: the objective-zoo leaderboard.
-
-    Trains the same backbone once per objective (pure ELBO control plus
-    every :mod:`repro.objectives` registry entry), fanning the seeds out
-    over ``--workers`` processes, scores each with the §V.B protocol and
-    writes a report whose ``regularizers_wall_seconds`` total gates the
-    sweep's cost in CI while the leaderboard rows land in ``meta`` for
-    the checked-in ``BENCH_regularizers`` table.
-    """
-    from repro.experiments.regularizers import (
-        format_leaderboard,
-        regularizer_leaderboard,
-    )
-    from repro.telemetry import (
-        MetricsRegistry,
-        build_report,
-        format_report,
-        write_report,
-    )
-    from repro.telemetry.report import REGULARIZERS_WALL_KEY
-
-    context = ExperimentContext(_settings_from_args(args))
-    seeds = tuple(range(args.num_seeds))
-    registry = MetricsRegistry()
-    print(
-        f"regularizer leaderboard on {args.dataset}: "
-        f"{len(seeds)} seeds per objective...",
-        file=out,
-    )
-    with registry.timer(REGULARIZERS_WALL_KEY):
-        result = regularizer_leaderboard(
-            context,
-            seeds=seeds,
-            workers=args.workers,
-            registry=registry,
-            backbone=args.backbone,
-        )
-    report = build_report(
-        args.name or "regularizers",
-        registry=registry,
-        meta={
-            "suite": "regularizers",
-            "dataset": args.dataset,
-            "backbone": args.backbone,
-            "scale": args.scale,
-            "num_topics": args.num_topics,
-            "epochs": args.epochs,
-            "seeds": list(seeds),
-            "leaderboard": [
-                {
-                    "objective": row.name,
-                    "weight": row.weight,
-                    **row.summary(),
-                }
-                for row in result.rows
-            ],
-            "best": result.best().name,
-            "failures": {
-                label: {str(seed): status for seed, status in statuses.items()}
-                for label, statuses in result.failures.items()
-            },
-        },
-    )
-    path = write_report(report, args.telemetry)
-    print(format_leaderboard(result, args.dataset), file=out)
-    print(format_report(report), file=out)
-    print(f"wrote telemetry report to {path}", file=out)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     """``serve``: drive the resilient inference service under load.
 
@@ -735,8 +309,9 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         build_requests,
         run_load,
         serving_config,
+        serving_report,
     )
-    from repro.telemetry import MetricsRegistry, build_report, write_report
+    from repro.telemetry import MetricsRegistry, write_report
 
     context = ExperimentContext(_settings_from_args(args))
     model = context.build(args.model, seed=args.seed)
@@ -840,17 +415,16 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     if ckpt_path is not None and ckpt_path.exists():
         ckpt_path.unlink()
 
-    report.record_into(metrics)
     summary = report.summary()
     rows = [[key, f"{value}"] for key, value in summary.items()
             if not isinstance(value, dict)]
     rows += [[f"status.{k}", str(v)] for k, v in report.status_counts.items()]
     print(format_table(["metric", "value"], rows), file=out)
-    bench = build_report(
+    bench = serving_report(
+        report,
         args.name or "serving",
         registry=metrics,
         meta={
-            "suite": "serving",
             "dataset": args.dataset,
             "model": args.model,
             "scale": args.scale,
@@ -884,98 +458,34 @@ def _probe_corpus(corpus, n: int):
 
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
-    import contextlib
+    """``bench --suite <name>``: run one registry suite, write its report.
 
-    if args.suite == "ops":
-        return _cmd_bench_ops(args, out)
-    if args.suite == "sparse":
-        return _cmd_bench_sparse(args, out)
-    if args.suite == "multiseed":
-        return _cmd_bench_multiseed(args, out)
-    if args.suite == "ddp":
-        return _cmd_bench_ddp(args, out)
-    if args.suite == "streaming":
-        return _cmd_bench_streaming(args, out)
-    if args.suite == "regularizers":
-        return _cmd_bench_regularizers(args, out)
+    The suite's ``run`` receives the parsed flags it names as parameters
+    (plus ``settings`` and ``objectives`` derived from them); its report
+    carries the suite's gates for the CI perf-guard.
+    """
+    import inspect
 
-    from repro.models.base import NeuralTopicModel
-    from repro.telemetry import (
-        MetricsRegistry,
-        TelemetryCallback,
-        build_report,
-        format_report,
-        profile_ops,
-        write_report,
-    )
+    from repro.errors import ConfigError
+    from repro.experiments.suites import SuiteCheckError
+    from repro.telemetry import format_report, write_report
 
-    from repro.training.trainer import CheckpointSpec, RunSpec, Trainer
-
-    context = ExperimentContext(_settings_from_args(args))
-    model = context.build(args.model, seed=args.seed)
-    if not isinstance(model, NeuralTopicModel):
-        raise SystemExit("bench requires a neural model (with an epoch loop)")
-    registry = MetricsRegistry()
-    callback = TelemetryCallback(
-        path=args.jsonl, registry=registry, run_name=args.model
-    )
-
-    guard = None
-    if args.guard:
-        from repro.training.resilience import GuardPolicy
-
-        guard = GuardPolicy()
-    faults = None
-    if args.inject_nan or args.inject_grad or args.inject_interrupts:
-        from repro.training.faults import FaultPlan
-
-        if args.inject_interrupts and not args.checkpoint_dir:
-            raise SystemExit("--inject-interrupts requires --checkpoint-dir")
-        faults = FaultPlan(
-            nan_loss_rate=args.inject_nan,
-            exploding_grad_rate=args.inject_grad,
-            interrupt_saves=tuple(range(args.inject_interrupts)),
-            seed=args.faults_seed,
-        )
-    # The whole benchmarked run travels as one declarative spec: the
-    # trainer materializes the checkpoint callback and fault injector
-    # (and owns the interrupted-writes context) from it, so the perf
-    # guard measures the same Trainer path production runs use.
-    spec = RunSpec(
-        model=model.config,
-        guard=guard,
-        checkpoint=(
-            CheckpointSpec(args.checkpoint_dir) if args.checkpoint_dir else None
-        ),
-        faults=faults,
-        ddp_workers=args.ddp_workers,
-        objectives=_objectives_from_args(args),
-    )
-    print(f"benchmarking {args.model} on {args.dataset}...", file=out)
-    profiler = profile_ops(registry) if args.profile_ops else contextlib.nullcontext()
-    with profiler, registry.timer("bench/fit"):
-        Trainer(spec, callbacks=[callback]).fit(model, context.dataset.train)
-    report = build_report(
-        args.name or f"{args.model}_{args.dataset}",
-        registry=registry,
-        epochs=callback.epochs,
-        meta={
-            "dataset": args.dataset,
-            "model": args.model,
-            "scale": args.scale,
-            "num_topics": args.num_topics,
-            "epochs": args.epochs,
-            "seed": args.seed,
-            "suite": "train",
-            "dtype": args.dtype or _current_dtype_name(),
-            "profile_ops": bool(args.profile_ops),
-            "guard": bool(args.guard),
-            "inject_nan": args.inject_nan,
-            "inject_grad": args.inject_grad,
-            "inject_interrupts": args.inject_interrupts,
-        },
-    )
+    suite = SUITES[args.suite]
+    available = {
+        **vars(args),
+        "settings": _settings_from_args(args),
+        "objectives": _objectives_from_args(args),
+    }
+    wanted = inspect.signature(suite.run).parameters
+    print(f"bench suite {suite.name}: {suite.help}...", file=out)
+    try:
+        run = suite.run(**{k: available[k] for k in wanted if k in available})
+    except (ConfigError, SuiteCheckError) as error:
+        raise SystemExit(f"bench --suite {suite.name}: {error}") from None
+    report = suite.report(run, args.name)
     path = write_report(report, args.telemetry)
+    if run.text:
+        print(run.text, file=out)
     print(format_report(report), file=out)
     print(f"wrote telemetry report to {path}", file=out)
     return 0
@@ -1122,25 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--suite",
         default="train",
-        choices=[
-            "train",
-            "ops",
-            "sparse",
-            "multiseed",
-            "ddp",
-            "streaming",
-            "regularizers",
-        ],
-        help="'train': benchmark an end-to-end training run; "
-        "'ops': microbenchmark every fused kernel on fixed shapes; "
-        "'sparse': dense-vs-CSR fast-path hot-path comparison; "
-        "'multiseed': serial-vs-parallel §V.F multi-seed evaluation "
-        "with a metric-equality assertion; "
-        "'ddp': data-parallel scaling curve over --ddp-legs worker counts; "
-        "'streaming': incremental NPMI engine vs per-slice full recount "
-        "on a synthetic drifting stream; "
-        "'regularizers': objective-zoo leaderboard (ELBO control + every "
-        "repro.objectives entry) on one backbone",
+        choices=list(SUITES),
+        help="; ".join(f"'{name}': {suite.help}" for name, suite in SUITES.items()),
     )
     bench.add_argument(
         "--backbone",
@@ -1246,12 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the deterministic fault injector (default: 0)",
     )
     return parser
-
-
-def _current_dtype_name() -> str:
-    from repro.tensor import get_default_dtype
-
-    return str(get_default_dtype())
 
 
 def main(argv: list[str] | None = None, out=sys.stdout) -> int:

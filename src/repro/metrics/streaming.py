@@ -27,9 +27,10 @@ exact instead:
 Module-level counters aggregate every engine's activity per process;
 :func:`record_streaming_stats` publishes them (plus the co-occurrence
 cache's hit/miss counters) into a
-:class:`~repro.telemetry.MetricsRegistry`, where
-:func:`repro.telemetry.report.build_report` rolls them into
-``streaming_*`` / ``npmi_cache_*`` totals for the CI perf guard.
+:class:`~repro.telemetry.MetricsRegistry`.  A measurement of one engine
+reads that engine's own :attr:`StreamingNpmiEngine.stats` instead (the
+``streaming`` bench suite does), since the process-wide counters keep
+counting across runs.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ def record_streaming_stats(registry, prefix: str = "streaming") -> None:
     """Publish streaming + NPMI-cache counters into ``registry``.
 
     Keys are absolute (``streaming/updates``, ``npmi_cache/hits``, ...)
-    so callers inside nested timer scopes record the same names;
-    :func:`repro.telemetry.report.build_report` picks them up as
-    ``streaming_*`` / ``npmi_cache_*`` report totals.
+    so callers inside nested timer scopes record the same names.
     """
     for name, value in _STREAM_STATS.items():
         registry.counter(f"{prefix}/{name}", absolute=True).add(value)

@@ -27,7 +27,13 @@ from repro.serving.config import (
     serving_config_from_env,
     set_serving_config,
 )
-from repro.serving.loadgen import LoadProfile, LoadReport, build_requests, run_load
+from repro.serving.loadgen import (
+    LoadProfile,
+    LoadReport,
+    build_requests,
+    run_load,
+    serving_report,
+)
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import (
     DEGRADED,
@@ -58,6 +64,7 @@ __all__ = [
     "LoadReport",
     "build_requests",
     "run_load",
+    "serving_report",
     "ModelRegistry",
     "DEGRADED",
     "ERROR",

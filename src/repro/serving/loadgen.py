@@ -12,10 +12,10 @@ pieces deliver that:
   stream, so chaos runs are bit-for-bit repeatable);
 * :func:`run_load` — submits them with bounded concurrency, optionally
   hot-reloading a checkpoint every ``reload_every`` completions (the
-  live-reload-under-traffic scenario), and returns a :class:`LoadReport`
-  whose :meth:`~LoadReport.record_into` lands the percentiles under the
-  ``SERVING_*`` registry keys that
-  :func:`repro.telemetry.report.build_report` rolls into gated totals.
+  live-reload-under-traffic scenario), and returns a :class:`LoadReport`;
+* :func:`serving_report` — turns a :class:`LoadReport` into the
+  ``BENCH_serving`` report, with the serving totals and the gates
+  (:data:`SERVING_GATES`) the CI perf-guard compares.
 """
 
 from __future__ import annotations
@@ -38,13 +38,7 @@ from repro.serving.service import (
     TOP_WORDS,
     TRANSFORM,
 )
-from repro.telemetry.report import (
-    SERVING_P50_KEY,
-    SERVING_P95_KEY,
-    SERVING_P99_KEY,
-    SERVING_REQUESTS_KEY,
-    SERVING_WALL_KEY,
-)
+from repro.telemetry.report import build_report
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.data.corpus import Corpus
@@ -154,22 +148,6 @@ class LoadReport:
             return 0.0
         return len(self.responses) / self.wall_seconds
 
-    def record_into(self, registry: "MetricsRegistry") -> None:
-        """Land the run's scalars under the ``SERVING_*`` registry keys."""
-        registry.record_seconds(SERVING_WALL_KEY, self.wall_seconds, absolute=True)
-        registry.record_seconds(
-            SERVING_P50_KEY, self.percentile_seconds(50), absolute=True
-        )
-        registry.record_seconds(
-            SERVING_P95_KEY, self.percentile_seconds(95), absolute=True
-        )
-        registry.record_seconds(
-            SERVING_P99_KEY, self.percentile_seconds(99), absolute=True
-        )
-        registry.count(
-            SERVING_REQUESTS_KEY, len(self.responses), absolute=True
-        )
-
     def summary(self) -> dict:
         """JSON-friendly scalar summary (used by the CLI and the bench)."""
         return {
@@ -182,6 +160,43 @@ class LoadReport:
             "status_counts": self.status_counts,
             **{f"service_{k}": v for k, v in self.stats.items()},
         }
+
+
+#: Serving totals the CI perf-guard gates, and the way each gets better.
+SERVING_GATES = {
+    "serving_wall_seconds": "lower",
+    "serving_p50_seconds": "lower",
+    "serving_p95_seconds": "lower",
+    "serving_p99_seconds": "lower",
+    "serving_requests_per_sec": "higher",
+}
+
+
+def serving_report(
+    load: LoadReport,
+    name: str = "serving",
+    registry: "MetricsRegistry | None" = None,
+    meta: dict | None = None,
+) -> dict:
+    """The ``BENCH_serving`` report of one load run, gates included.
+
+    ``repro serve`` and ``benchmarks/bench_serving.py`` both build their
+    report here, so the serving totals and gates exist once.
+    """
+    return build_report(
+        name,
+        registry=registry,
+        meta={"suite": "serving", **(meta or {})},
+        totals={
+            "serving_wall_seconds": load.wall_seconds,
+            "serving_p50_seconds": load.percentile_seconds(50),
+            "serving_p95_seconds": load.percentile_seconds(95),
+            "serving_p99_seconds": load.percentile_seconds(99),
+            "serving_requests": len(load.responses),
+            "serving_requests_per_sec": load.requests_per_sec,
+        },
+        gates=SERVING_GATES,
+    )
 
 
 def run_load(

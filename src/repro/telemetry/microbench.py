@@ -20,11 +20,6 @@ import numpy as np
 
 from repro.telemetry.core import MetricsRegistry
 from repro.telemetry.ophooks import profile_ops
-from repro.telemetry.report import (
-    SPARSE_DENSE_KEY,
-    SPARSE_DOCS_KEY,
-    SPARSE_SPARSE_KEY,
-)
 from repro.tensor import fused
 from repro.tensor.dtypes import default_dtype, get_default_dtype, resolve_dtype
 from repro.tensor.sparse import CSRBatch
@@ -215,19 +210,17 @@ def run_sparse_microbench(
 
     Records into ``registry``:
 
-    - timer :data:`~repro.telemetry.report.SPARSE_DENSE_KEY` — dense leg
-      wall-clock over all repetitions,
-    - timer :data:`~repro.telemetry.report.SPARSE_SPARSE_KEY` — CSR leg
-      wall-clock,
-    - counter :data:`~repro.telemetry.report.SPARSE_DOCS_KEY` — documents
-      pushed through each leg (for docs/sec),
+    - timer ``sparse/dense`` — dense leg wall-clock over all repetitions,
+    - timer ``sparse/sparse`` — CSR leg wall-clock,
+    - counter ``sparse/docs`` — documents pushed through each leg (for
+      docs/sec),
     - counter ``sparse/loss_gap`` — ``|dense loss − sparse loss|`` of the
       final repetition (an equivalence tripwire: must be ≈0),
     - counter ``sparse/profile_density`` — actual nnz fraction of the
       generated bow.
 
-    :func:`repro.telemetry.report.build_report` rolls the timers into
-    ``totals.sparse_*`` including the gated ``sparse_speedup``.
+    The ``sparse`` bench suite (:mod:`repro.experiments.suites`) turns
+    them into ``sparse_*`` totals, including the gated ``sparse_speedup``.
     """
     registry = registry if registry is not None else MetricsRegistry()
     dt = resolve_dtype(dtype) if dtype is not None else get_default_dtype()
@@ -268,13 +261,13 @@ def run_sparse_microbench(
     with default_dtype(dt):
         dense_loss = step(dense_bow)  # warm-up: exclude first-call costs
         sparse_loss = step(csr_bow)
-        with registry.timer(SPARSE_DENSE_KEY):
+        with registry.timer("sparse/dense"):
             for _ in range(repeats):
                 dense_loss = step(dense_bow)
-        with registry.timer(SPARSE_SPARSE_KEY):
+        with registry.timer("sparse/sparse"):
             for _ in range(repeats):
                 sparse_loss = step(csr_bow)
-    registry.count(SPARSE_DOCS_KEY, repeats * batch, absolute=True)
+    registry.count("sparse/docs", repeats * batch, absolute=True)
     registry.count(
         "sparse/loss_gap", abs(dense_loss - sparse_loss), absolute=True
     )

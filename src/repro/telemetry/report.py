@@ -9,8 +9,14 @@ runs and machines:
 * ``epochs`` — per-epoch table from :class:`~repro.telemetry.callback.
   TelemetryCallback` (wall time, docs/sec throughput, ELBO vs contrastive
   loss split),
-* ``totals`` — the scalar roll-up that CI's perf-guard
-  (``benchmarks/check_regression.py``) compares against a baseline.
+* ``totals`` — the scalar roll-up: generic op/epoch sums plus the
+  scalars the producer passes in (a bench suite's legs and ratios),
+* ``gates``  — which totals CI's perf-guard
+  (``benchmarks/check_regression.py``) compares against a baseline, and
+  the direction (``"lower"``/``"higher"``) in which each is better.  The
+  producer declares them (the bench-suite registry
+  :data:`repro.experiments.suites.SUITES`, or the load generator), so
+  this module knows no suite.
 
 Timings depend on the machine; the regression comparison therefore uses a
 tolerant ratio threshold (default 2x) and treats sub-millisecond baseline
@@ -19,6 +25,7 @@ entries as noise.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 from pathlib import Path
 from typing import Sequence
@@ -33,74 +40,8 @@ SCHEMA = "repro.telemetry.bench/v1"
 #: regression comparison reports them but never fails on them.
 NOISE_FLOOR_SECONDS = 1e-3
 
-#: Registry timer keys the multi-seed benchmark records its serial and
-#: parallel wall-clock under (``python -m repro bench --suite multiseed``
-#: and ``benchmarks/bench_parallel_multiseed.py``).  :func:`build_report`
-#: rolls them into ``totals`` so the CI perf-guard can gate them.
-MULTISEED_SERIAL_KEY = "multiseed/serial"
-MULTISEED_PARALLEL_KEY = "multiseed/parallel"
-
-#: Registry keys the sparse-vs-dense benchmark records under
-#: (``python -m repro bench --suite sparse`` and
-#: ``benchmarks/bench_sparse_ops.py``): wall-clock of the dense reference
-#: leg, wall-clock of the CSR fast-path leg, and the number of documents
-#: each leg pushed through the hot path.  :func:`build_report` rolls them
-#: into ``totals`` (including the ``sparse_speedup`` ratio and the
-#: per-leg docs/sec) so the CI perf-guard can gate the fast path.
-SPARSE_DENSE_KEY = "sparse/dense"
-SPARSE_SPARSE_KEY = "sparse/sparse"
-SPARSE_DOCS_KEY = "sparse/docs"
-
-#: Registry keys the serving load generator records under
-#: (``python -m repro serve`` and ``benchmarks/bench_serving.py``):
-#: end-to-end wall-clock of the load run, per-request latency
-#: percentiles, and the number of requests submitted.
-#: :func:`build_report` rolls them into ``totals``
-#: (``serving_p50_seconds``/``p95``/``p99``, ``serving_wall_seconds``
-#: and the ``serving_requests_per_sec`` throughput) so the CI perf-guard
-#: can gate the online inference service.
-SERVING_WALL_KEY = "serving/wall"
-SERVING_P50_KEY = "serving/p50"
-SERVING_P95_KEY = "serving/p95"
-SERVING_P99_KEY = "serving/p99"
-SERVING_REQUESTS_KEY = "serving/requests_total"
-
-#: Registry keys the data-parallel scaling benchmark records under
-#: (``python -m repro bench --suite ddp`` and ``benchmarks/bench_ddp.py``):
-#: one ``ddp/wall_w<N>`` timer per worker-count leg (the leg's training
-#: wall-clock) and the number of documents every leg pushes through
-#: training.  :func:`build_report` rolls them into totals
-#: (``ddp_wall_seconds_w<N>``, ``ddp_docs_per_sec_w<N>`` and the
-#: ``ddp_speedup_w<N>`` ratios against the 1-worker leg) so the CI
-#: perf-guard can gate the scaling curve.  The exchange's own ``ddp/*``
-#: shard/reduce/step timers and bytes counters travel in the registry
-#: snapshot for inspection.
-DDP_WALL_KEY_PREFIX = "ddp/wall_w"
-DDP_DOCS_KEY = "ddp/docs"
-
-#: Registry keys the streaming-kernel benchmark records under
-#: (``python -m repro bench --suite streaming`` and
-#: ``benchmarks/bench_streaming.py``): wall-clock of the incremental
-#: delta-update leg, wall-clock of the from-scratch recount leg, and the
-#: number of documents each leg streamed.  :func:`build_report` rolls
-#: them into ``totals`` (including the ``streaming_speedup`` ratio and
-#: ``streaming_docs_per_sec``) so the CI perf-guard can gate the
-#: incremental engine; the ``streaming/*`` counters published by
-#: :func:`repro.metrics.streaming.record_streaming_stats` (updates,
-#: delta_nnz, buffer reuses) and the ``npmi_cache/*`` hit/miss counters
-#: become ``streaming_*`` / ``npmi_cache_*`` totals alongside them.
-STREAMING_UPDATE_KEY = "streaming/update"
-STREAMING_RECOUNT_KEY = "streaming/recount"
-STREAMING_DOCS_KEY = "streaming/docs"
-STREAMING_COUNTER_PREFIX = "streaming/"
-NPMI_CACHE_COUNTER_PREFIX = "npmi_cache/"
-
-#: wall-clock of one full regularizer-leaderboard sweep
-#: (:func:`repro.experiments.regularizers.regularizer_leaderboard`).
-#: :func:`build_report` surfaces it as ``regularizers_wall_seconds``,
-#: which :data:`TIME_TOTALS` gates against ``BENCH_regularizers``.
-REGULARIZERS_WALL_KEY = "regularizers/wall"
-
+#: Gate directions: the way a gated total moves when things get better.
+GATE_DIRECTIONS = ("lower", "higher")
 
 def _op_table(registry: MetricsRegistry) -> list[dict]:
     """Extract the per-op rows from a registry's ``op/*`` keys."""
@@ -175,144 +116,61 @@ def _epoch_totals(epochs: Sequence[dict]) -> dict:
     return totals
 
 
+def resolve_gates(gates: dict | None, totals: dict) -> dict:
+    """Concrete ``{total: "lower"|"higher"}`` gates of a report.
+
+    A plain key is gated whether or not ``totals`` has it (a missing
+    gated total fails :func:`compare_reports`); a key with ``*`` gates
+    every total it matches, so a suite whose legs vary (``wall_w*`` over
+    ``wall_w1``, ``wall_w3``, ...) gates exactly the legs it ran.
+    """
+    resolved: dict[str, str] = {}
+    for key, direction in (gates or {}).items():
+        if direction not in GATE_DIRECTIONS:
+            raise ValueError(
+                f"gate {key!r}: direction must be one of {GATE_DIRECTIONS}, "
+                f"got {direction!r}"
+            )
+        if "*" in key:
+            resolved.update(
+                {t: direction for t in totals if fnmatch.fnmatchcase(t, key)}
+            )
+        else:
+            resolved[key] = direction
+    return dict(sorted(resolved.items()))
+
+
 def build_report(
     name: str,
     registry: MetricsRegistry | None = None,
     epochs: Sequence[dict] | None = None,
     meta: dict | None = None,
+    totals: dict | None = None,
+    gates: dict | None = None,
 ) -> dict:
-    """Assemble a ``repro.telemetry.bench/v1`` report dictionary."""
+    """Assemble a ``repro.telemetry.bench/v1`` report dictionary.
+
+    ``totals`` are the caller's own scalars, merged over the generic
+    op/epoch roll-up; ``gates`` maps gated totals (or ``*`` patterns, see
+    :func:`resolve_gates`) to the direction in which they are better.
+    """
     ops = _op_table(registry) if registry is not None else []
     epoch_rows = [dict(e) for e in (epochs or [])]
-    totals: dict = dict(_epoch_totals(epoch_rows))
+    rolled: dict = dict(_epoch_totals(epoch_rows))
     if ops:
-        totals["op_seconds"] = float(sum(r["total_seconds"] for r in ops))
-        totals["op_backward_seconds"] = float(sum(r["backward_seconds"] for r in ops))
-        totals["op_calls"] = int(sum(r["calls"] for r in ops))
-        totals["op_bytes"] = int(sum(r["bytes"] for r in ops))
-    if registry is not None:
-        serial = registry.timers.get(MULTISEED_SERIAL_KEY)
-        parallel = registry.timers.get(MULTISEED_PARALLEL_KEY)
-        if serial is not None and serial.count:
-            totals["multiseed_serial_seconds"] = float(serial.total_seconds)
-        if parallel is not None and parallel.count:
-            totals["multiseed_parallel_seconds"] = float(parallel.total_seconds)
-        if (
-            serial is not None
-            and parallel is not None
-            and serial.count
-            and parallel.total_seconds > 0
-        ):
-            totals["multiseed_speedup"] = float(
-                serial.total_seconds / parallel.total_seconds
-            )
-        dense_leg = registry.timers.get(SPARSE_DENSE_KEY)
-        sparse_leg = registry.timers.get(SPARSE_SPARSE_KEY)
-        docs = registry.counters.get(SPARSE_DOCS_KEY)
-        if dense_leg is not None and dense_leg.count:
-            totals["sparse_dense_seconds"] = float(dense_leg.total_seconds)
-        if sparse_leg is not None and sparse_leg.count:
-            totals["sparse_sparse_seconds"] = float(sparse_leg.total_seconds)
-        if (
-            dense_leg is not None
-            and sparse_leg is not None
-            and dense_leg.count
-            and sparse_leg.total_seconds > 0
-        ):
-            totals["sparse_speedup"] = float(
-                dense_leg.total_seconds / sparse_leg.total_seconds
-            )
-        if docs is not None and docs.value:
-            if sparse_leg is not None and sparse_leg.total_seconds > 0:
-                totals["sparse_docs_per_sec"] = float(
-                    docs.value / sparse_leg.total_seconds
-                )
-            if dense_leg is not None and dense_leg.total_seconds > 0:
-                totals["sparse_dense_docs_per_sec"] = float(
-                    docs.value / dense_leg.total_seconds
-                )
-        for key, total in (
-            (SERVING_WALL_KEY, "serving_wall_seconds"),
-            (SERVING_P50_KEY, "serving_p50_seconds"),
-            (SERVING_P95_KEY, "serving_p95_seconds"),
-            (SERVING_P99_KEY, "serving_p99_seconds"),
-        ):
-            stat = registry.timers.get(key)
-            if stat is not None and stat.count:
-                totals[total] = float(stat.total_seconds)
-        wall = registry.timers.get(SERVING_WALL_KEY)
-        served = registry.counters.get(SERVING_REQUESTS_KEY)
-        if served is not None and served.value:
-            totals["serving_requests"] = int(served.value)
-            if wall is not None and wall.total_seconds > 0:
-                totals["serving_requests_per_sec"] = float(
-                    served.value / wall.total_seconds
-                )
-        ddp_walls = {
-            key[len(DDP_WALL_KEY_PREFIX):]: stat
-            for key, stat in registry.timers.items()
-            if key.startswith(DDP_WALL_KEY_PREFIX) and stat.count
-        }
-        ddp_docs = registry.counters.get(DDP_DOCS_KEY)
-        for label in sorted(ddp_walls, key=lambda s: (len(s), s)):
-            stat = ddp_walls[label]
-            totals[f"ddp_wall_seconds_w{label}"] = float(stat.total_seconds)
-            if (
-                ddp_docs is not None
-                and ddp_docs.value
-                and stat.total_seconds > 0
-            ):
-                totals[f"ddp_docs_per_sec_w{label}"] = float(
-                    ddp_docs.value / stat.total_seconds
-                )
-        serial_leg = ddp_walls.get("1")
-        if serial_leg is not None and serial_leg.total_seconds > 0:
-            for label, stat in ddp_walls.items():
-                if label != "1" and stat.total_seconds > 0:
-                    totals[f"ddp_speedup_w{label}"] = float(
-                        serial_leg.total_seconds / stat.total_seconds
-                    )
-        update_leg = registry.timers.get(STREAMING_UPDATE_KEY)
-        recount_leg = registry.timers.get(STREAMING_RECOUNT_KEY)
-        stream_docs = registry.counters.get(STREAMING_DOCS_KEY)
-        if update_leg is not None and update_leg.count:
-            totals["streaming_update_seconds"] = float(update_leg.total_seconds)
-        if recount_leg is not None and recount_leg.count:
-            totals["streaming_recount_seconds"] = float(recount_leg.total_seconds)
-        if (
-            update_leg is not None
-            and recount_leg is not None
-            and recount_leg.count
-            and update_leg.total_seconds > 0
-        ):
-            totals["streaming_speedup"] = float(
-                recount_leg.total_seconds / update_leg.total_seconds
-            )
-        if (
-            stream_docs is not None
-            and stream_docs.value
-            and update_leg is not None
-            and update_leg.total_seconds > 0
-        ):
-            totals["streaming_docs_per_sec"] = float(
-                stream_docs.value / update_leg.total_seconds
-            )
-        for key, counter in registry.counters.items():
-            for prefix in (STREAMING_COUNTER_PREFIX, NPMI_CACHE_COUNTER_PREFIX):
-                if key.startswith(prefix) and key != STREAMING_DOCS_KEY:
-                    totals[key.replace("/", "_", 1)] = int(counter.value)
-        regularizers_wall = registry.timers.get(REGULARIZERS_WALL_KEY)
-        if regularizers_wall is not None and regularizers_wall.count:
-            totals["regularizers_wall_seconds"] = float(
-                regularizers_wall.total_seconds
-            )
+        rolled["op_seconds"] = float(sum(r["total_seconds"] for r in ops))
+        rolled["op_backward_seconds"] = float(sum(r["backward_seconds"] for r in ops))
+        rolled["op_calls"] = int(sum(r["calls"] for r in ops))
+        rolled["op_bytes"] = int(sum(r["bytes"] for r in ops))
+    rolled.update(totals or {})
     report = {
         "schema": SCHEMA,
         "name": name,
         "meta": dict(meta or {}),
         "ops": ops,
         "epochs": epoch_rows,
-        "totals": totals,
+        "totals": rolled,
+        "gates": resolve_gates(gates, rolled),
     }
     if registry is not None:
         report["registry"] = registry.snapshot()
@@ -435,9 +293,9 @@ def summarize_report(report: dict) -> str:
         ["ops rows", str(len(report.get("ops", [])))],
         ["epoch rows", str(len(report.get("epochs", [])))],
     ]
-    for key in (*TIME_TOTALS, *RATE_TOTALS):
-        if key in totals:
-            rows.append([f"totals.{key}", f"{totals[key]:.6g}"])
+    for key, direction in report.get("gates", {}).items():
+        value = f"{totals[key]:.6g}" if key in totals else "missing"
+        rows.append([f"totals.{key} ({direction} is better)", value])
     return _format_table(
         ["metric", "value"],
         rows,
@@ -449,85 +307,69 @@ def summarize_report(report: dict) -> str:
 # regression comparison (consumed by benchmarks/check_regression.py)
 # ----------------------------------------------------------------------
 
-#: totals keys where *larger* current values mean a slowdown.
-TIME_TOTALS = (
-    "op_seconds",
-    "op_backward_seconds",
-    "epoch_seconds",
-    "epoch_seconds_mean",
-    "multiseed_serial_seconds",
-    "multiseed_parallel_seconds",
-    "sparse_sparse_seconds",
-    "serving_wall_seconds",
-    "serving_p50_seconds",
-    "serving_p95_seconds",
-    "serving_p99_seconds",
-    "ddp_wall_seconds_w1",
-    "ddp_wall_seconds_w2",
-    "ddp_wall_seconds_w4",
-    "streaming_update_seconds",
-    "regularizers_wall_seconds",
-)
 
-#: totals keys where *smaller* current values mean a slowdown.
-RATE_TOTALS = (
-    "docs_per_sec",
-    "multiseed_speedup",
-    "sparse_speedup",
-    "sparse_docs_per_sec",
-    "serving_requests_per_sec",
-    "ddp_docs_per_sec_w1",
-    "ddp_docs_per_sec_w2",
-    "ddp_docs_per_sec_w4",
-    "ddp_speedup_w2",
-    "ddp_speedup_w4",
-    "streaming_speedup",
-    "streaming_docs_per_sec",
-    "streaming_buffer_reuses",
-)
+def report_gates(baseline: dict, current: dict) -> dict:
+    """The gates of a comparison: the union of both reports' ``gates``.
+
+    Raises ``ValueError`` when the two reports gate one total in opposite
+    directions — such a pair cannot be compared.
+    """
+    gates = dict(baseline.get("gates", {}))
+    for key, direction in current.get("gates", {}).items():
+        if gates.setdefault(key, direction) != direction:
+            raise ValueError(
+                f"totals.{key} is gated {gates[key]!r} in the baseline but "
+                f"{direction!r} in the current report"
+            )
+    return dict(sorted(gates.items()))
 
 
 def compare_reports(
     baseline: dict, current: dict, threshold: float = 2.0
 ) -> tuple[list[str], str]:
-    """Compare two reports' totals; returns (failures, diff table text).
+    """Compare two reports' gated totals; returns (failures, diff table text).
 
-    A timing total fails when ``current > threshold * baseline``; a rate
-    total (throughput) fails when ``current < baseline / threshold``.
-    Baseline entries under :data:`NOISE_FLOOR_SECONDS` are informational
-    only.  Per-op rows are always informational — per-op wall times are
-    too noisy on shared runners to gate on.
+    The gated totals are those either report lists in its ``gates``
+    (:func:`report_gates`).  A ``"lower"``-is-better total (a timing)
+    fails when ``current > threshold * baseline``; a ``"higher"``-is-better
+    total (a rate) fails when ``current < baseline / threshold``; a gated
+    total missing from the current report fails.  Timing baselines under
+    :data:`NOISE_FLOOR_SECONDS` are informational only, and so is a gated
+    total the baseline lacks.  Per-op rows are always informational —
+    per-op wall times are too noisy on shared runners to gate on.
     """
     if threshold <= 1.0:
         raise ValueError("threshold must be > 1")
     failures: list[str] = []
     rows: list[list[str]] = []
-
-    def add_row(label: str, base: float, cur: float, slower_when: str) -> None:
+    base_totals = baseline.get("totals", {})
+    cur_totals = current.get("totals", {})
+    for key, direction in report_gates(baseline, current).items():
+        label = f"totals.{key}"
+        if key not in cur_totals:
+            base_text = f"{base_totals[key]:.6g}" if key in base_totals else "-"
+            rows.append([label, base_text, "-", "-", "FAIL"])
+            failures.append(f"{label}: gated ({direction} is better) but missing")
+            continue
+        cur = cur_totals[key]
+        if key not in base_totals:
+            rows.append([label, "-", f"{cur:.6g}", "-", "new"])
+            continue
+        base = base_totals[key]
         ratio = cur / base if base else float("inf")
-        gated = base >= NOISE_FLOOR_SECONDS or slower_when == "lower"
-        if slower_when == "higher":
+        if direction == "lower":
+            gated = base >= NOISE_FLOOR_SECONDS
             failed = gated and ratio > threshold
         else:
+            gated = True
             failed = base > 0 and cur < base / threshold
-        status = "FAIL" if failed else "ok"
-        if not gated and slower_when == "higher":
-            status = "noise"
+        status = "FAIL" if failed else ("ok" if gated else "noise")
         rows.append([label, f"{base:.6g}", f"{cur:.6g}", f"{ratio:.2f}x", status])
         if failed:
             failures.append(
                 f"{label}: {cur:.6g} vs baseline {base:.6g} "
                 f"(ratio {ratio:.2f}, threshold {threshold:.2f})"
             )
-
-    base_totals = baseline.get("totals", {})
-    cur_totals = current.get("totals", {})
-    for key in TIME_TOTALS:
-        if key in base_totals and key in cur_totals:
-            add_row(f"totals.{key}", base_totals[key], cur_totals[key], "higher")
-    for key in RATE_TOTALS:
-        if key in base_totals and key in cur_totals:
-            add_row(f"totals.{key}", base_totals[key], cur_totals[key], "lower")
 
     base_ops = {r["op"]: r for r in baseline.get("ops", [])}
     for row in current.get("ops", []):

@@ -11,9 +11,9 @@ from repro.serving import (
     build_requests,
     run_load,
 )
-from repro.serving.service import COHERENCE, TOP_WORDS, TRANSFORM
+from repro.serving.loadgen import SERVING_GATES, serving_report
+from repro.serving.service import TRANSFORM
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.report import build_report
 
 
 class TestBuildRequests:
@@ -112,10 +112,10 @@ class TestLoadReport:
         ):
             assert key in summary, summary
 
-    def test_record_into_lands_serving_totals(self, report):
-        metrics = MetricsRegistry()
-        report.record_into(metrics)
-        built = build_report("serve-test", metrics)
+    def test_serving_report_carries_totals_and_gates(self, report):
+        built = serving_report(report, "serve-test", registry=MetricsRegistry())
+        assert built["meta"]["suite"] == "serving"
+        assert built["gates"] == SERVING_GATES
         totals = built["totals"]
         assert totals["serving_requests"] == 30
         assert totals["serving_wall_seconds"] == pytest.approx(

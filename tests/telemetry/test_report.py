@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.suites import SUITES
+from repro.serving.loadgen import SERVING_GATES
 from repro.telemetry import (
     SCHEMA,
     MetricsRegistry,
@@ -18,8 +20,10 @@ from repro.telemetry import (
     load_report,
     write_report,
 )
+from repro.telemetry.report import report_gates, resolve_gates
 
 REPO = Path(__file__).resolve().parent.parent.parent
+TRAIN_GATES = SUITES["train"].gates
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -110,7 +114,9 @@ class TestSerialisation:
 class TestCompareReports:
     @pytest.fixture
     def baseline(self):
-        return build_report("demo", registry=_populated_registry(), epochs=_epochs())
+        return build_report(
+            "demo", registry=_populated_registry(), epochs=_epochs(), gates=TRAIN_GATES
+        )
 
     def test_identical_reports_pass(self, baseline):
         failures, table = compare_reports(baseline, copy.deepcopy(baseline))
@@ -150,6 +156,159 @@ class TestCompareReports:
         with pytest.raises(ValueError):
             compare_reports(baseline, baseline, threshold=1.0)
 
+    def test_ungated_totals_are_not_compared(self, baseline):
+        slow = copy.deepcopy(baseline)
+        slow["totals"]["elbo_mean"] *= 10.0
+        failures, table = compare_reports(baseline, slow)
+        assert failures == []
+        assert "elbo_mean" not in table
+
+    def test_missing_gated_total_fails(self):
+        """A gated total absent from the current report is a FAIL, not a skip."""
+        baseline = load_report(REPO / "benchmarks" / "baselines" / "BENCH_sparse.json")
+        current = copy.deepcopy(baseline)
+        for key in ("sparse_speedup", "sparse_docs_per_sec", "sparse_sparse_seconds"):
+            del current["totals"][key]
+        failures, table = compare_reports(baseline, current, threshold=2.5)
+        assert sorted(f.split(":")[0] for f in failures) == [
+            "totals.sparse_docs_per_sec",
+            "totals.sparse_sparse_seconds",
+            "totals.sparse_speedup",
+        ]
+        assert table.count("FAIL") == 3
+
+    def test_gate_of_the_current_report_alone_counts(self, baseline):
+        ungated = copy.deepcopy(baseline)
+        ungated["gates"] = {}
+        current = copy.deepcopy(baseline)
+        del current["totals"]["docs_per_sec"]
+        failures, _ = compare_reports(ungated, current)
+        assert [f.split(":")[0] for f in failures] == ["totals.docs_per_sec"]
+
+    def test_total_new_in_the_current_report_is_informational(self, baseline):
+        old = copy.deepcopy(baseline)
+        del old["totals"]["docs_per_sec"]
+        failures, table = compare_reports(old, baseline)
+        assert failures == []
+        assert "new" in table
+
+    def test_conflicting_directions_are_rejected(self, baseline):
+        flipped = copy.deepcopy(baseline)
+        flipped["gates"]["docs_per_sec"] = "lower"
+        with pytest.raises(ValueError, match="docs_per_sec"):
+            report_gates(baseline, flipped)
+
+
+class TestGates:
+    def test_plain_keys_gate_even_when_absent(self):
+        assert resolve_gates({"a_seconds": "lower"}, {}) == {"a_seconds": "lower"}
+
+    def test_patterns_expand_over_present_totals(self):
+        totals = {"leg_w1": 1.0, "leg_w3": 2.0, "other": 3.0}
+        assert resolve_gates({"leg_w*": "lower"}, totals) == {
+            "leg_w1": "lower",
+            "leg_w3": "lower",
+        }
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            resolve_gates({"x": "faster"}, {})
+
+    def test_build_report_carries_gates(self):
+        report = build_report(
+            "demo", totals={"leg_w2": 1.0}, gates={"leg_w*": "higher", "y": "lower"}
+        )
+        assert report["gates"] == {"leg_w2": "higher", "y": "lower"}
+        assert build_report("demo")["gates"] == {}
+
+
+#: The (total, direction) pairs every checked-in baseline gates — the
+#: pairs the perf guard gated before reports carried their own gates.
+PINNED_GATES = {
+    "BENCH_computational_analysis.json": {
+        "docs_per_sec": "higher",
+        "epoch_seconds": "lower",
+        "epoch_seconds_mean": "lower",
+        "op_backward_seconds": "lower",
+        "op_seconds": "lower",
+    },
+    "BENCH_computational_analysis_prefusion.json": {
+        "docs_per_sec": "higher",
+        "epoch_seconds": "lower",
+        "epoch_seconds_mean": "lower",
+        "op_backward_seconds": "lower",
+        "op_seconds": "lower",
+    },
+    "BENCH_ddp.json": {
+        "ddp_docs_per_sec_w1": "higher",
+        "ddp_docs_per_sec_w2": "higher",
+        "ddp_docs_per_sec_w4": "higher",
+        "ddp_speedup_w2": "higher",
+        "ddp_speedup_w4": "higher",
+        "ddp_wall_seconds_w1": "lower",
+        "ddp_wall_seconds_w2": "lower",
+        "ddp_wall_seconds_w4": "lower",
+    },
+    "BENCH_ops.json": {"op_backward_seconds": "lower", "op_seconds": "lower"},
+    "BENCH_regularizers.json": {"regularizers_wall_seconds": "lower"},
+    "BENCH_serving.json": {
+        "serving_p50_seconds": "lower",
+        "serving_p95_seconds": "lower",
+        "serving_p99_seconds": "lower",
+        "serving_requests_per_sec": "higher",
+        "serving_wall_seconds": "lower",
+    },
+    "BENCH_sparse.json": {
+        "sparse_docs_per_sec": "higher",
+        "sparse_sparse_seconds": "lower",
+        "sparse_speedup": "higher",
+    },
+    "BENCH_streaming.json": {
+        "streaming_buffer_reuses": "higher",
+        "streaming_docs_per_sec": "higher",
+        "streaming_speedup": "higher",
+        "streaming_update_seconds": "lower",
+    },
+    "BENCH_suite.json": {
+        "multiseed_parallel_seconds": "lower",
+        "multiseed_serial_seconds": "lower",
+        "multiseed_speedup": "higher",
+    },
+}
+
+#: Which gate declaration produces each baseline's gates.
+BASELINE_PRODUCERS = {
+    "BENCH_computational_analysis.json": SUITES["train"].gates,
+    "BENCH_computational_analysis_prefusion.json": SUITES["train"].gates,
+    "BENCH_ddp.json": SUITES["ddp"].gates,
+    "BENCH_ops.json": SUITES["ops"].gates,
+    "BENCH_regularizers.json": SUITES["regularizers"].gates,
+    "BENCH_serving.json": SERVING_GATES,
+    "BENCH_sparse.json": SUITES["sparse"].gates,
+    "BENCH_streaming.json": SUITES["streaming"].gates,
+    "BENCH_suite.json": SUITES["multiseed"].gates,
+}
+
+
+class TestBaselineGates:
+    BASELINES = REPO / "benchmarks" / "baselines"
+
+    def test_every_baseline_is_pinned(self):
+        assert sorted(p.name for p in self.BASELINES.glob("*.json")) == sorted(
+            PINNED_GATES
+        )
+
+    @pytest.mark.parametrize("name", sorted(PINNED_GATES))
+    def test_baseline_gates_are_unchanged(self, name):
+        baseline = load_report(self.BASELINES / name)
+        assert baseline["gates"] == PINNED_GATES[name]
+        assert set(baseline["gates"]) <= set(baseline["totals"])
+        # The declaring suite gates exactly these pairs on these totals.
+        assert (
+            resolve_gates(BASELINE_PRODUCERS[name], baseline["totals"])
+            == PINNED_GATES[name]
+        )
+
 
 class TestCheckRegressionScript:
     """benchmarks/check_regression.py end to end, as CI invokes it."""
@@ -168,6 +327,7 @@ class TestCheckRegressionScript:
             "computational_analysis",
             registry=_populated_registry(),
             epochs=_epochs(),
+            gates=TRAIN_GATES,
         )
         base_path = write_report(baseline, tmp_path / "baseline.json")
         return baseline, base_path
@@ -188,6 +348,26 @@ class TestCheckRegressionScript:
         result = self._run("--baseline", str(base_path), "--current", str(cur_path))
         assert result.returncode == 1
         assert "PERF REGRESSION" in result.stdout
+
+    def test_exit_one_when_gated_totals_are_missing(self, tmp_path):
+        base_path = REPO / "benchmarks" / "baselines" / "BENCH_sparse.json"
+        current = load_report(base_path)
+        for key in ("sparse_speedup", "sparse_docs_per_sec", "sparse_sparse_seconds"):
+            del current["totals"][key]
+        cur_path = write_report(current, tmp_path / "current.json")
+        result = self._run(
+            "--threshold", "2.5", "--baseline", str(base_path), "--current", str(cur_path)
+        )
+        assert result.returncode == 1
+        assert "PERF REGRESSION (3 failing total(s))" in result.stdout
+
+    def test_exit_two_on_conflicting_gates(self, tmp_path):
+        baseline, base_path = self._reports(tmp_path)
+        flipped = copy.deepcopy(baseline)
+        flipped["gates"]["docs_per_sec"] = "lower"
+        cur_path = write_report(flipped, tmp_path / "current.json")
+        result = self._run("--baseline", str(base_path), "--current", str(cur_path))
+        assert result.returncode == 2
 
     def test_exit_two_on_missing_input(self, tmp_path):
         result = self._run(
@@ -237,70 +417,41 @@ class TestCheckRegressionScript:
 
 
 class TestStreamingTotals:
-    """PR 9: streaming-engine keys roll into perf-guard-gated totals."""
+    """The streaming suite's totals and the gates its reports carry."""
 
-    def _registry(self) -> MetricsRegistry:
-        from repro.metrics.streaming import (
-            record_streaming_stats,
-            reset_streaming_stats,
-            StreamingNpmiEngine,
-        )
-        from repro.telemetry.report import (
-            STREAMING_DOCS_KEY,
-            STREAMING_RECOUNT_KEY,
-            STREAMING_UPDATE_KEY,
-        )
+    @pytest.fixture(scope="class")
+    def report(self):
+        run = SUITES["streaming"].run(stream_slices=3, stream_docs=20)
+        return SUITES["streaming"].report(run)
 
-        reset_streaming_stats()
-        registry = MetricsRegistry()
-        engine = StreamingNpmiEngine(4)
-        with registry.timer(STREAMING_UPDATE_KEY):
-            engine.update([[0, 1], [2, 3]])
-        with registry.timer(STREAMING_UPDATE_KEY):
-            engine.update([[1, 2]])
-        registry.record_seconds(STREAMING_RECOUNT_KEY, 0.5, absolute=True)
-        registry.counter(STREAMING_DOCS_KEY, absolute=True).value = 3.0
-        record_streaming_stats(registry)
-        return registry
-
-    def test_streaming_totals_roll_up(self):
-        from repro.metrics.streaming import reset_streaming_stats
-
-        try:
-            totals = build_report("demo", registry=self._registry())["totals"]
-        finally:
-            reset_streaming_stats()
+    def test_streaming_totals_roll_up(self, report):
+        totals = report["totals"]
         assert totals["streaming_update_seconds"] > 0
-        assert totals["streaming_recount_seconds"] == pytest.approx(0.5)
         assert totals["streaming_speedup"] == pytest.approx(
-            0.5 / totals["streaming_update_seconds"]
+            totals["streaming_recount_seconds"] / totals["streaming_update_seconds"]
         )
         assert totals["streaming_docs_per_sec"] == pytest.approx(
-            3.0 / totals["streaming_update_seconds"]
+            60 / totals["streaming_update_seconds"]
         )
-        assert totals["streaming_updates"] == 2
-        assert totals["streaming_documents"] == 3
-        assert totals["streaming_buffer_reuses"] == 1
+        assert totals["streaming_updates"] == 3
+        assert totals["streaming_documents"] == 60
+        assert totals["streaming_buffer_reuses"] == 2
         assert totals["streaming_delta_nnz"] > 0
         for key in ("npmi_cache_hits", "npmi_cache_misses", "npmi_cache_size"):
             assert key in totals
 
-    def test_streaming_totals_are_gated(self):
-        from repro.telemetry.report import RATE_TOTALS, TIME_TOTALS
+    def test_streaming_totals_are_gated(self, report):
+        assert report["gates"] == {
+            "streaming_buffer_reuses": "higher",
+            "streaming_docs_per_sec": "higher",
+            "streaming_speedup": "higher",
+            "streaming_update_seconds": "lower",
+        }
 
-        assert "streaming_update_seconds" in TIME_TOTALS
-        for key in (
-            "streaming_speedup",
-            "streaming_docs_per_sec",
-            "streaming_buffer_reuses",
-        ):
-            assert key in RATE_TOTALS
-
-    def test_regression_guard_catches_streaming_slowdown(self):
-        base = build_report("demo", registry=self._registry())
-        slow = copy.deepcopy(base)
+    def test_regression_guard_catches_streaming_slowdown(self, report):
+        slow = copy.deepcopy(report)
         slow["totals"]["streaming_speedup"] = (
-            base["totals"]["streaming_speedup"] / 10.0
+            report["totals"]["streaming_speedup"] / 10.0
         )
-        failures, _ = compare_reports(base, slow, threshold=2.0)
+        failures, _ = compare_reports(report, slow, threshold=2.0)
         assert any("streaming_speedup" in f for f in failures)

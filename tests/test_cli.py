@@ -462,3 +462,111 @@ class TestServeCommand:
         assert sum(meta["status_counts"].values()) == 60
         # The transient publication checkpoint is cleaned up afterwards.
         assert not list(tmp_path.glob("*.ckpt.npz"))
+        # The serve report carries the serving gates.
+        assert set(load_report(telemetry)["gates"]) >= {
+            "serving_p99_seconds",
+            "serving_requests_per_sec",
+        }
+
+
+_TINY_MODEL = ["--scale", "0.08", "--num-topics", "6", "--epochs", "1"]
+
+#: Smallest flags that still run each registry suite end to end.
+SUITE_ARGS = {
+    "train": ["--model", "contratopic", *_TINY_MODEL],
+    "ops": ["--repeats", "1", "--dtype", "float32"],
+    "sparse": ["--repeats", "1"],
+    "multiseed": [
+        "--model", "etm", *_TINY_MODEL, "--num-seeds", "2", "--workers", "2",
+        "--no-profile-ops",
+    ],
+    "ddp": ["--model", "contratopic", *_TINY_MODEL, "--ddp-legs", "1,3"],
+    "streaming": ["--stream-slices", "3", "--stream-docs", "20"],
+    "regularizers": [*_TINY_MODEL, "--num-seeds", "1", "--workers", "1"],
+}
+
+
+class TestBenchSuites:
+    """Every ``bench --suite`` value runs through the one generic handler."""
+
+    def test_every_suite_has_tiny_args(self):
+        from repro.experiments.suites import SUITES
+
+        assert sorted(SUITE_ARGS) == sorted(SUITES)
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_ARGS))
+    def test_suite_writes_a_gated_report(self, suite, tmp_path):
+        from repro.experiments.suites import SUITES
+        from repro.telemetry import load_report
+
+        path = tmp_path / f"BENCH_{suite}.json"
+        output = _run(
+            ["bench", "--suite", suite, *SUITE_ARGS[suite], "--telemetry", str(path)]
+        )
+        assert "wrote telemetry report" in output
+        report = load_report(path)
+        assert report["meta"]["suite"] == suite
+        assert report["gates"], "a suite report must gate something"
+        for key in report["gates"]:
+            assert key in report["totals"], key
+        assert set(report["gates"].values()) <= {"lower", "higher"}
+        for key, direction in SUITES[suite].gates.items():
+            if "*" not in key:
+                assert report["gates"][key] == direction
+        if suite == "ddp":
+            # Gates follow the legs that ran, not a fixed 1/2/4 list.
+            assert report["gates"]["ddp_speedup_w3"] == "higher"
+            assert report["gates"]["ddp_wall_seconds_w3"] == "lower"
+            assert not any(key.endswith(("_w2", "_w4")) for key in report["gates"])
+
+    def test_streaming_counts_do_not_leak_across_runs(self, tmp_path):
+        from repro.telemetry import load_report
+
+        totals = []
+        for i in range(2):
+            path = tmp_path / f"BENCH_streaming_{i}.json"
+            _run(
+                [
+                    "bench", "--suite", "streaming", "--stream-slices", "4",
+                    "--stream-docs", "30", "--telemetry", str(path),
+                ]
+            )
+            totals.append(load_report(path)["totals"])
+        for key in ("streaming_updates", "streaming_buffer_reuses", "streaming_documents"):
+            assert totals[0][key] == totals[1][key], key
+        assert totals[1]["streaming_updates"] == 4
+        assert totals[1]["streaming_buffer_reuses"] == 3
+
+    def test_failed_suite_check_exits_non_zero(self, tmp_path):
+        with pytest.raises(SystemExit, match="ddp-legs"):
+            main(
+                [
+                    "bench", "--suite", "ddp", *_TINY_MODEL, "--ddp-legs", "one,two",
+                    "--telemetry", str(tmp_path / "x.json"),
+                ],
+                out=io.StringIO(),
+            )
+
+    def test_ci_matrix_runs_every_suite(self):
+        """The CI bench matrix lists every registry suite plus serving."""
+        import re
+        from pathlib import Path
+
+        from repro.experiments.suites import SUITES
+
+        repo = Path(__file__).resolve().parent.parent
+        text = (repo / ".github" / "workflows" / "ci.yml").read_text()
+        rows = re.findall(
+            r"- suite: (\S+)\s+bench: (\S+)\s+report: (\S+)\s+threshold: \"([\d.]+)\"",
+            text,
+        )
+        assert [row[0] for row in rows] == [*SUITES, "serving"]
+        thresholds = {suite: float(threshold) for suite, _, _, threshold in rows}
+        assert thresholds == {
+            **{suite: 2.5 for suite in SUITES},
+            "train": 2.0,
+            "serving": 4.0,
+        }
+        for _, bench, report, _ in rows:
+            assert (repo / "benchmarks" / bench).exists(), bench
+            assert (repo / "benchmarks" / "baselines" / report).exists(), report
