@@ -24,13 +24,8 @@ exact instead:
   cold :func:`~repro.metrics.npmi.compute_npmi_matrix` to the last bit
   (same derivation kernel).
 
-Module-level counters aggregate every engine's activity per process;
-:func:`record_streaming_stats` publishes them (plus the co-occurrence
-cache's hit/miss counters) into a
-:class:`~repro.telemetry.MetricsRegistry`.  A measurement of one engine
-reads that engine's own :attr:`StreamingNpmiEngine.stats` instead (the
-``streaming`` bench suite does), since the process-wide counters keep
-counting across runs.
+Each engine counts its own activity in :attr:`StreamingNpmiEngine.stats`
+(the ``streaming`` bench suite reads it).
 """
 
 from __future__ import annotations
@@ -38,41 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.metrics.cooccurrence import (
-    DocumentCooccurrence,
-    cooccurrence_cache_stats,
-)
+from repro.metrics.cooccurrence import DocumentCooccurrence
 from repro.metrics.npmi import NpmiMatrix, NpmiWorkspace
-
-_STREAM_STATS = {
-    "updates": 0,
-    "documents": 0,
-    "delta_nnz": 0,
-    "buffer_reuses": 0,
-}
-
-
-def streaming_update_stats() -> dict[str, int]:
-    """Process-wide streaming counters (all engines, since last reset)."""
-    return dict(_STREAM_STATS)
-
-
-def reset_streaming_stats() -> None:
-    """Zero the process-wide streaming counters (tests use this)."""
-    for key in _STREAM_STATS:
-        _STREAM_STATS[key] = 0
-
-
-def record_streaming_stats(registry, prefix: str = "streaming") -> None:
-    """Publish streaming + NPMI-cache counters into ``registry``.
-
-    Keys are absolute (``streaming/updates``, ``npmi_cache/hits``, ...)
-    so callers inside nested timer scopes record the same names.
-    """
-    for name, value in _STREAM_STATS.items():
-        registry.counter(f"{prefix}/{name}", absolute=True).add(value)
-    for name, value in cooccurrence_cache_stats().items():
-        registry.counter(f"npmi_cache/{name}", absolute=True).add(value)
 
 
 class StreamingNpmiEngine:
@@ -143,10 +105,6 @@ class StreamingNpmiEngine:
         self.stats["documents"] += added
         self.stats["delta_nnz"] += delta_nnz
         self.stats["buffer_reuses"] += int(reused)
-        _STREAM_STATS["updates"] += 1
-        _STREAM_STATS["documents"] += added
-        _STREAM_STATS["delta_nnz"] += delta_nnz
-        _STREAM_STATS["buffer_reuses"] += int(reused)
         return self.npmi
 
     def recount_reference(self) -> DocumentCooccurrence:

@@ -41,12 +41,17 @@ Request kinds
     strings per topic.
 ``coherence``
     Payload ignored; requires the service to be built with an NPMI
-    matrix.  Response value: per-topic NPMI coherence scores.
+    matrix.  Response value: per-topic NPMI coherence scores (read-only).
+
+Both parameter reads are computed once per registry version and reused
+until a different model answers, so a served model must not be mutated
+in place: publish new parameters through :meth:`ModelRegistry.load`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TYPE_CHECKING
@@ -192,6 +197,10 @@ class InferenceService:
         self._queue: asyncio.Queue | None = None
         self._worker: asyncio.Task | None = None
         self._running = False
+        # Parameter-read memo of one registry snapshot (see _parameter_read).
+        self._reads_model: "NeuralTopicModel | None" = None
+        self._reads_version = 0
+        self._reads: dict[str, Any] = {}
 
     @classmethod
     def for_model(
@@ -241,8 +250,8 @@ class InferenceService:
         if reason is not None:
             self._count("invalid")
             return self._record(Response(status=ERROR, error=reason))
-        if kind == TOP_WORDS and payload is None:
-            payload = 10
+        if kind == TOP_WORDS:
+            payload = 10 if payload is None else int(payload)
         depth = self._queue.qsize()
         self.max_queue_depth = max(self.max_queue_depth, depth)
         if self.metrics is not None:
@@ -464,16 +473,38 @@ class InferenceService:
             theta = model.transform(corpus)
             return [theta[i] for i in range(len(payloads))], version
         if kind == TOP_WORDS:
-            by_n: dict[int, list[list[str]]] = {}
-            for n in payloads:
-                if n not in by_n:
-                    by_n[n] = model.top_words(self._vocabulary, n)
-            return [by_n[n] for n in payloads], version
+            return [self._top_words(model, version, n) for n in payloads], version
         # COHERENCE (kind already validated at submit)
-        from repro.metrics.coherence import topic_npmi_scores
-
-        scores = topic_npmi_scores(model.topic_word_matrix(), self._npmi)
+        scores = self._parameter_read(model, version, COHERENCE)
         return [scores] * len(payloads), version
+
+    def _parameter_read(self, model, version: int, kind: str) -> Any:
+        """A parameter read of ``kind``, computed once per model version.
+
+        Parameter reads change only when the registry swaps the model, so
+        the memo lives as long as one ``(model, version)`` snapshot and is
+        dropped as soon as a different pair answers.  ``top_words`` keeps
+        the model's full ranking (every word, per topic); ``coherence``
+        keeps a read-only score array shared by every answer.
+        """
+        if self._reads_model is not model or self._reads_version != version:
+            self._reads_model, self._reads_version = model, version
+            self._reads = {}
+        value = self._reads.get(kind)
+        if value is None:
+            if kind == TOP_WORDS:
+                value = model.top_words(self._vocabulary, len(self._vocabulary))
+            else:
+                from repro.metrics.coherence import topic_npmi_scores
+
+                value = topic_npmi_scores(model.topic_word_matrix(), self._npmi)
+                value.setflags(write=False)
+            self._reads[kind] = value
+        return value
+
+    def _top_words(self, model, version: int, n: int) -> list[list[str]]:
+        """Fresh top-``n`` lists, equal to ``model.top_words(vocabulary, n)``."""
+        return [row[:n] for row in self._parameter_read(model, version, TOP_WORDS)]
 
     def _degraded(self, kind: str, pending: _Pending, size: int) -> Response:
         """The answer served while the breaker is open.
@@ -488,7 +519,7 @@ class InferenceService:
         if kind == TRANSFORM:
             value: Any = np.full(num_topics, 1.0 / num_topics)
         elif kind == TOP_WORDS:
-            value = model.top_words(self._vocabulary, pending.request.payload)
+            value = self._top_words(model, version, pending.request.payload)
         else:
             value = np.zeros(num_topics)
         return Response(
@@ -518,7 +549,11 @@ class InferenceService:
                     f"transform payload has token ids outside [0, {vocab_size})"
                 )
         elif kind == TOP_WORDS:
-            if payload is not None and (not isinstance(payload, int) or payload < 1):
+            if payload is not None and (
+                isinstance(payload, bool)
+                or not isinstance(payload, numbers.Integral)
+                or payload < 1
+            ):
                 return "top_words payload must be a positive int (or None)"
         elif kind == COHERENCE and self._npmi is None:
             return "coherence requests need a service built with npmi_matrix="

@@ -44,6 +44,32 @@ def assert_all_answered(responses, n):
     assert all(r.status in STATUSES for r in responses)
 
 
+def one_by_one(service, requests):
+    """Submit each request after the previous answer: one batch apiece."""
+
+    async def main():
+        await service.start()
+        try:
+            return [await service.submit_request(r) for r in requests]
+        finally:
+            await service.stop()
+
+    return asyncio.run(main())
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call is appended to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 class TestCleanPath:
     def test_transform_batches_match_direct_model(
         self, registry, tiny_corpus, fast_serving_config, served_model
@@ -114,6 +140,136 @@ class TestCleanPath:
         assert stats["p95_seconds"] >= stats["p50_seconds"] > 0
 
 
+class TestParameterReadMemo:
+    """top_words/coherence are computed once per registry version."""
+
+    def test_one_model_read_per_version(
+        self, registry, tiny_corpus, fast_serving_config, tiny_npmi,
+        served_model, monkeypatch,
+    ):
+        service = make_service(
+            registry, tiny_corpus, fast_serving_config, npmi_matrix=tiny_npmi
+        )
+        top_words = count_calls(monkeypatch, served_model, "top_words")
+        matrix = count_calls(monkeypatch, served_model, "topic_word_matrix")
+        responses = one_by_one(
+            service,
+            [Request(COHERENCE) for _ in range(12)]
+            + [Request(TOP_WORDS, 1 + i % 9) for i in range(12)],
+        )
+        assert all(r.ok for r in responses), [r.error for r in responses]
+        assert service.counts["batches"] == 24
+        assert len(top_words) == 1
+        # One read for coherence, one inside the single top_words ranking.
+        assert len(matrix) == 2
+
+    def test_reload_drops_the_memo(
+        self, served_model, model_factory, tiny_corpus, fast_serving_config,
+        tiny_npmi, tmp_path,
+    ):
+        from repro.io import save_checkpoint
+        from repro.metrics.coherence import topic_npmi_scores
+
+        registry = ModelRegistry(served_model, factory=model_factory)
+        service = make_service(
+            registry, tiny_corpus, fast_serving_config, npmi_matrix=tiny_npmi
+        )
+        path = tmp_path / "other.npz"
+        save_checkpoint(model_factory(), path)  # untrained: other parameters
+        reads = [Request(TOP_WORDS, 5), Request(COHERENCE)]
+
+        async def main():
+            await service.start()
+            try:
+                before = [await service.submit_request(r) for r in reads]
+                assert registry.load(path), registry.last_error
+                after = [await service.submit_request(r) for r in reads]
+                return before, after
+            finally:
+                await service.stop()
+
+        (tops_1, scores_1), (tops_2, scores_2) = asyncio.run(main())
+        vocabulary = tiny_corpus.vocabulary
+        new_model = registry.model
+        assert new_model is not served_model
+        assert {tops_1.model_version, scores_1.model_version} == {1}
+        assert {tops_2.model_version, scores_2.model_version} == {2}
+        assert tops_1.value == served_model.top_words(vocabulary, 5)
+        assert tops_2.value == new_model.top_words(vocabulary, 5)
+        assert tops_2.value != tops_1.value
+        np.testing.assert_array_equal(
+            scores_2.value,
+            topic_npmi_scores(new_model.topic_word_matrix(), tiny_npmi),
+        )
+        assert not np.array_equal(scores_2.value, scores_1.value)
+
+    def test_answers_equal_model_top_words(
+        self, registry, tiny_corpus, fast_serving_config, served_model
+    ):
+        service = make_service(registry, tiny_corpus, fast_serving_config)
+        vocab_size = tiny_corpus.vocab_size
+        sizes = [1, 5, vocab_size, vocab_size + 7]
+        responses = service.serve([Request(TOP_WORDS, n) for n in sizes])
+        for n, response in zip(sizes, responses):
+            assert response.ok, response.error
+            assert response.value == served_model.top_words(
+                tiny_corpus.vocabulary, n
+            )
+        assert all(len(row) == vocab_size for row in responses[-1].value)
+
+    def test_answers_do_not_alias(
+        self, registry, tiny_corpus, fast_serving_config, tiny_npmi, served_model
+    ):
+        service = make_service(
+            registry, tiny_corpus, fast_serving_config, npmi_matrix=tiny_npmi
+        )
+        expected = served_model.top_words(tiny_corpus.vocabulary, 5)
+
+        async def main():
+            await service.start()
+            try:
+                first = await service.submit(TOP_WORDS, 5)
+                first.value[0][0] = "clobbered"
+                first.value[1].append("extra")
+                first.value.pop()
+                second = await service.submit(TOP_WORDS, 5)
+                scores = await service.submit(COHERENCE)
+                return second, scores
+            finally:
+                await service.stop()
+
+        second, scores = asyncio.run(main())
+        assert second.value == expected
+        assert not scores.value.flags.writeable
+        with pytest.raises(ValueError):
+            scores.value[0] = 1.0
+
+    def test_degraded_top_words_come_from_the_memo(
+        self, registry, tiny_corpus, served_model, monkeypatch
+    ):
+        faults = FaultInjector(FaultPlan(serve_nan_steps=(0, 1)))
+        config = ServingConfig(
+            max_batch_size=1,
+            max_wait_ms=0.0,
+            breaker_threshold=2,
+            breaker_cooldown_ms=60_000.0,
+        )
+        service = make_service(registry, tiny_corpus, config, faults=faults)
+        sizes = (3, 5, 5, 8)
+        expected = [served_model.top_words(tiny_corpus.vocabulary, n) for n in sizes]
+        top_words = count_calls(monkeypatch, served_model, "top_words")
+        doc = [int(t) for t in tiny_corpus.documents[0]]
+        responses = one_by_one(
+            service,
+            [Request(TRANSFORM, doc), Request(TRANSFORM, doc)]  # NaN → trip
+            + [Request(TOP_WORDS, n) for n in sizes],
+        )
+        reads = responses[2:]
+        assert all(r.status == "degraded" for r in reads)
+        assert [r.value for r in reads] == expected
+        assert len(top_words) == 1
+
+
 class TestAdmission:
     def test_rejects_submit_when_not_running(self, registry, tiny_corpus):
         service = make_service(registry, tiny_corpus, ServingConfig())
@@ -173,6 +329,7 @@ class TestAdmission:
             Request(TRANSFORM, [vocab_size + 3]),      # out-of-vocab ids
             Request(TRANSFORM, [-1]),                  # negative ids
             Request(TOP_WORDS, 0),                     # non-positive n
+            Request(TOP_WORDS, True),                  # a bool is not an n
             Request(COHERENCE),                        # no npmi matrix wired
         ]
         good = transform_requests(tiny_corpus, 3)
@@ -183,6 +340,14 @@ class TestAdmission:
             assert response.error
         assert all(r.ok for r in responses[len(bad):])
         assert service.counts["invalid"] == len(bad)
+
+    def test_numpy_integer_top_words_payload_accepted(
+        self, registry, tiny_corpus, fast_serving_config, served_model
+    ):
+        service = make_service(registry, tiny_corpus, fast_serving_config)
+        (response,) = service.serve([Request(TOP_WORDS, np.int64(5))])
+        assert response.ok, response.error
+        assert response.value == served_model.top_words(tiny_corpus.vocabulary, 5)
 
 
 class TestDeadlines:
